@@ -334,8 +334,8 @@ def run_scaling_unit(sf_dir: str, num_cpus: int, mult: int) -> dict:
     pending = None
     for _ in range(n_sweeps):
         t0 = time.time()
-        cv, cc, moves, _nbrs = pool.sweep(
-            assign, None, None, m2, "canonical", delta=pending
+        cv, cc, moves = pool.sweep(
+            assign, m2, tie_break="canonical", delta=pending
         )
         sweep_secs.append(time.time() - t0)
         if moves:

@@ -24,12 +24,20 @@ Semantics transcribed from the reference's sequential `Communities`
   rank-RNG/message-timing dependent, `src/distcommunity.cpp:221-234`).
 
 This module is pure numpy so the same kernel runs inside the sequential
-oracle AND inside Ray map_batches tasks over CSR shards.
+oracle, the driver-local Louvain levels AND the ShardPool workers
+(`state/shard_pool.py`) that run every distributed sweep.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# Vertex-block size of the chunked kernel on distributed sweeps and large
+# driver-local levels (Jacobi within a block, Gauss-Seidel across blocks).
+# Larger blocks amortize per-chunk numpy overhead (the sweep bottleneck at
+# scale); smaller blocks converge in fewer sweeps. 256 measured ~2x sweep
+# throughput vs 64 with no modularity loss on the planted web graphs.
+KERNEL_CHUNK = 256
 
 
 def chunked_local_move_sweep(
@@ -43,7 +51,6 @@ def chunked_local_move_sweep(
     m2: float,
     csize: np.ndarray | None = None,
     chunk: int = 64,
-    active: np.ndarray | None = None,
     undo_log: list | None = None,
     unit_weights: bool = False,
 ) -> int:
@@ -75,43 +82,18 @@ def chunked_local_move_sweep(
     if n_local == 0:
         return 0
     counts = np.diff(indptr)
-    if active is not None:
-        # active-set sweep: only rows whose neighborhood changed last sweep
-        sub = np.flatnonzero(active[vids])
-        if sub.shape[0] == 0:
-            return 0
-    else:
-        sub = None
     moves = 0
     C = np.int64(comm.shape[0])
-    n_iter = sub.shape[0] if sub is not None else n_local
-    for a in range(0, n_iter, chunk):
-        b = min(a + chunk, n_iter)
-        if sub is not None:
-            rows_sel = sub[a:b]
-            sel_counts = counts[rows_sel]
-            # vectorized gather of the selected rows' entry ranges
-            total = int(sel_counts.sum())
-            if total == 0:
-                continue
-            starts = indptr[rows_sel]
-            offs = np.repeat(starts, sel_counts) + (
-                np.arange(total) - np.repeat(np.cumsum(sel_counts) - sel_counts, sel_counts)
-            )
-            rows_local = np.repeat(np.arange(b - a, dtype=np.int64), sel_counts)
-            v_rows = vids[rows_sel]
-            nbr = cols[offs]
-            w = None if unit_weights else weights[offs]
-            blk_counts = sel_counts
-        else:
-            lo, hi = indptr[a], indptr[b]
-            if lo == hi:
-                continue
-            rows_local = np.repeat(np.arange(b - a, dtype=np.int64), counts[a:b])
-            v_rows = vids[a:b]
-            nbr = cols[lo:hi]
-            w = None if unit_weights else weights[lo:hi]
-            blk_counts = counts[a:b]
+    for a in range(0, n_local, chunk):
+        b = min(a + chunk, n_local)
+        lo, hi = indptr[a], indptr[b]
+        if lo == hi:
+            continue
+        rows_local = np.repeat(np.arange(b - a, dtype=np.int64), counts[a:b])
+        v_rows = vids[a:b]
+        nbr = cols[lo:hi]
+        w = None if unit_weights else weights[lo:hi]
+        blk_counts = counts[a:b]
         own = comm[v_rows]
         dv = deg[v_rows]
 

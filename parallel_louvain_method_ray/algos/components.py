@@ -2,40 +2,30 @@
 
 Mandated extension (SURVEY §2.6). Semantics: label(v) converges to the
 minimum vid in v's component (exact, deterministic). Each global round is
-one shuffle-free map_batches pass; inside a shard the kernel runs the local
-propagation to a LOCAL fixpoint (cheap numpy reduceat loop) before emitting
-changes, which cuts the number of global rounds to roughly the number of
-cross-partition hops.
+one ShardPool round (`ShardPool.cc_round`); inside a shard the worker runs
+the local propagation to a LOCAL fixpoint (cheap numpy reduceat loop)
+before emitting changes, which cuts the number of global rounds to roughly
+the number of cross-partition hops.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pyarrow as pa
-import ray
 
 from parallel_louvain_method_ray.graph.build import GraphHandle
-from parallel_louvain_method_ray.graph.csr import unpack_shards
+from parallel_louvain_method_ray.state.shard_pool import pool_for
 
 
 def connected_components(
-    graph: GraphHandle, max_rounds: int = 200, on_round=None, use_pool: bool = True, pool=None
+    graph: GraphHandle, max_rounds: int = 200, on_round=None, pool=None
 ) -> tuple[np.ndarray, dict]:
     """Requires a symmetrized graph. Returns (labels int64[n], metrics);
-    vertices absent from the edge set keep label = own vid (isolated)."""
-    n = graph.n
-    labels = np.arange(n, dtype=np.int64)
+    vertices absent from the edge set keep label = own vid (isolated).
+    Runs on `pool`, or on an owned pool when None."""
+    labels = np.arange(graph.n, dtype=np.int64)
     rounds = 0
-    own_pool = False
-    if pool is None and use_pool:
-        from parallel_louvain_method_ray.state.shard_pool import ShardPool
-
-        pool = ShardPool(graph)
-        own_pool = True
-    elif pool is not None and pool.graph is not graph:
-        pool.reload(graph)
-    while rounds < max_rounds:
-        if pool is not None:
+    with pool_for(graph, pool) as pool:
+        while rounds < max_rounds:
             changed = 0
             for vid, lab in pool.cc_round(labels):
                 if vid.shape[0]:
@@ -46,53 +36,6 @@ def connected_components(
                 on_round(rounds, labels, changed)
             if changed == 0:
                 break
-            continue
-        lab_ref = ray.put(labels)
-
-        def kernel(batch: pa.Table) -> pa.Table:
-            out_v, out_l = [], []
-            for shard in unpack_shards(batch):
-                # fresh copy per shard (see louvain kernel note)
-                lab = np.array(ray.get(lab_ref))
-                ip = shard.indptr
-                while True:
-                    row_min = np.minimum.reduceat(lab[shard.cols], ip[:-1])
-                    cur = lab[shard.vids]
-                    better = row_min < cur
-                    if not better.any():
-                        break
-                    lab[shard.vids[better]] = row_min[better]
-                # changed vs global snapshot
-                snap = ray.get(lab_ref)
-                ch = lab[shard.vids] != snap[shard.vids]
-                out_v.append(shard.vids[ch])
-                out_l.append(lab[shard.vids[ch]])
-            return pa.table(
-                {
-                    "vid": np.concatenate(out_v) if out_v else np.empty(0, np.int64),
-                    "label": (
-                        np.concatenate(out_l) if out_l else np.empty(0, np.int64)
-                    ),
-                }
-            )
-
-        changed = 0
-        for b in graph.shards.map_batches(kernel, batch_format="pyarrow").iter_batches(
-            batch_format="pyarrow"
-        ):
-            t = pa.table(b)
-            vid = t.column("vid").to_numpy(zero_copy_only=False)
-            lab = t.column("label").to_numpy(zero_copy_only=False)
-            if vid.shape[0]:
-                np.minimum.at(labels, vid, lab)
-                changed += vid.shape[0]
-        rounds += 1
-        if on_round is not None:
-            on_round(rounds, labels, changed)
-        if changed == 0:
-            break
-    if pool is not None and own_pool:
-        pool.shutdown()
     return labels, {"rounds": rounds}
 
 

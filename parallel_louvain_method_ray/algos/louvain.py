@@ -1,34 +1,38 @@
-"""Distributed multi-level Louvain on Ray Data.
+"""Distributed multi-level Louvain over CSR shards.
 
 Replaces the reference's `DistCommunities` fine-grained MPI messaging
 (`/root/reference/src/distcommunity.cpp`: per-vertex MPI_Barrier + probe
 drains, `:326-353` — its scalability killer) with BSP sweeps:
 
-- one Louvain SWEEP = one shuffle-free `map_batches` pass over the
-  materialized CSR shards; every task runs the shared Gauss-Seidel
-  local-move kernel over its partition against a snapshot of the global
-  state (assignments + community totals, broadcast via ray.put, read
-  zero-copy);
-- between sweeps the driver applies the (small) set of changed vertices and
-  recomputes community totals exactly (bincount over degrees) — the
-  reference's `CommunityUpdate`/`CommunityInfo`/`DegreeInfo` message machinery
-  (`distcommunity.cpp:387-503`) dissolves into this;
+- one Louvain SWEEP = one `ShardPool.sweep` round: every pool worker runs
+  the shared local-move kernel over its CSR shards against a snapshot of
+  the global state (assignments broadcast via ray.put, or after the first
+  sweep only the previous sweep's moves; community totals are derived
+  worker-side);
+- between sweeps the driver applies the (small) set of changed vertices —
+  the reference's `CommunityUpdate`/`CommunityInfo`/`DegreeInfo` message
+  machinery (`distcommunity.cpp:387-503`) dissolves into this;
 - convergence: a sweep with 0 moves ends the level (`community.cpp:98`);
   a modularity stall detector guards against cross-partition oscillation
   (the reference damps this with a temperature, `distcommunity.cpp:549-562`;
   our kernel is deterministic so a stall cap suffices);
-- with num_partitions=1 the engine IS the sequential reference algorithm
-  (same kernel), which is how golden parity is tested.
+- with num_partitions=1 and tie_break="reference" the engine IS the
+  sequential reference algorithm (same kernel), which is how golden parity
+  is tested.
+
+Levels small enough for the driver (`driver_local_entries`,
+`driver_local_vertices`) skip the pool and run the same kernel in strict
+Gauss-Seidel order on the driver.
 
 Coarsening (`community.cpp:162-201`, `distcommunity.cpp:766-915`) is one
-shuffle: per-shard partial contraction (numpy groupby) -> global
-groupby(src,dst).sum -> rebuild shards. Community renumbering is
-deterministic (sorted old id) instead of the reference's unordered-hash
-iteration order.
+pool wave: per-worker partial contraction (numpy groupby) -> driver merge
+-> rebuild shards. Community renumbering is deterministic (sorted old id)
+instead of the reference's unordered-hash iteration order.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,101 +41,30 @@ import ray
 import ray.data
 
 from parallel_louvain_method_ray.algos._local_move import (
+    KERNEL_CHUNK,
     chunked_local_move_sweep,
     local_move_sweep,
 )
 from parallel_louvain_method_ray.config import DEFAULT_CONFIG, EngineConfig
-from parallel_louvain_method_ray.graph.build import GraphHandle, build_graph
-from parallel_louvain_method_ray.graph.csr import unpack_shards
+from parallel_louvain_method_ray.graph.build import (
+    GraphHandle,
+    build_graph,
+    build_graph_small,
+)
+from parallel_louvain_method_ray.graph.csr import shard_to_entries, unpack_shards
+from parallel_louvain_method_ray.state.shard_pool import pool_for
 
+# Stop a distributed level early once modularity has not beaten its best
+# by more than STALL_EPS for STALL_SWEEPS consecutive non-shrinking sweeps
+# (guards against cross-partition oscillation that the reference damps
+# with a temperature — `src/distcommunity.cpp:549-562`; the BSP kernel is
+# deterministic, so a stall detector is enough).
+STALL_EPS = 1e-12
+STALL_SWEEPS = 3
 
-# ---------------------------------------------------------------------------
-# per-sweep distributed passes
-# ---------------------------------------------------------------------------
-
-
-def _sweep_pass(
-    graph: GraphHandle,
-    assign_ref,
-    tot_ref,
-    tie_break: str,
-    m2: float | None = None,
-    csize_ref=None,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Run the local-move kernel on every shard; returns (changed_vids,
-    new_comms, moves). Each task copies the broadcast state (its snapshot)
-    and mutates only the copy — Grappolo-style BSP."""
-    deg_ref = graph.degrees_ref
-    if m2 is None:
-        m2 = 2.0 * graph.m
-
-    def kernel(batch: pa.Table) -> pa.Table:
-        deg = ray.get(deg_ref)
-        out_v, out_c = [], []
-        for shard in unpack_shards(batch):
-            # fresh snapshot PER SHARD: partition semantics must not depend
-            # on how shards happen to be packed into blocks/batches
-            assign = np.array(ray.get(assign_ref))
-            tot = np.array(ray.get(tot_ref))
-            csize = (
-                np.array(ray.get(csize_ref)) if csize_ref is not None else None
-            )
-            before = assign[shard.vids].copy()
-            local_move_sweep(
-                shard.vids,
-                shard.indptr,
-                shard.cols,
-                shard.weights,
-                assign,
-                tot,
-                deg,
-                m2,
-                tie_break=tie_break,
-                csize=csize,
-            )
-            changed = assign[shard.vids] != before
-            out_v.append(shard.vids[changed])
-            out_c.append(assign[shard.vids][changed])
-        return pa.table(
-            {
-                "vid": np.concatenate(out_v) if out_v else np.empty(0, np.int64),
-                "comm": np.concatenate(out_c) if out_c else np.empty(0, np.int64),
-            }
-        )
-
-    vids, comms, total_moves = [], [], 0
-    for b in graph.shards.map_batches(kernel, batch_format="pyarrow").iter_batches(
-        batch_format="pyarrow"
-    ):
-        t = pa.table(b)
-        vids.append(t.column("vid").to_numpy(zero_copy_only=False))
-        comms.append(t.column("comm").to_numpy(zero_copy_only=False))
-    cv = np.concatenate(vids) if vids else np.empty(0, np.int64)
-    cc = np.concatenate(comms) if comms else np.empty(0, np.int64)
-    return cv, cc, int(cv.shape[0])
-
-
-def intra_community_weight(graph: GraphHandle, assign_ref) -> float:
-    """Global sum of entry weights (src != dst, same community) — the
-    sum_c in_c of the modularity formula (self-loops excluded, matching the
-    reference's `in` bookkeeping: `community.cpp:134`)."""
-
-    def part(batch: pa.Table) -> pa.Table:
-        assign = ray.get(assign_ref)
-        s = 0.0
-        for shard in unpack_shards(batch):
-            counts = np.diff(shard.indptr)
-            src = np.repeat(shard.vids, counts)
-            mask = (src != shard.cols) & (assign[src] == assign[shard.cols])
-            s += float(shard.weights[mask].sum())
-        return pa.table({"intra": [s]})
-
-    total = 0.0
-    for b in graph.shards.map_batches(part, batch_format="pyarrow").iter_batches(
-        batch_format="pyarrow"
-    ):
-        total += float(pa.compute.sum(pa.table(b).column("intra")).as_py() or 0.0)
-    return total
+# Max entries for the DRIVER-side strict-GS polish; larger graphs polish
+# through the shard pool (chunked kernel).
+POLISH_DRIVER_ENTRIES = 5_000_000
 
 
 def _m2(graph: GraphHandle, m_mode: str) -> float:
@@ -151,16 +84,17 @@ def modularity(
     graph: GraphHandle, assign: np.ndarray, m_mode: str = "count", pool=None
 ) -> float:
     """Q = intra/2m - sum_{tot_c>0} (tot_c/2m)^2  (`community.cpp:49-60`).
-    Q := 0 for a graph with m = 0 (fully contracted / self-loops only)."""
+    Q := 0 for a graph with m = 0 (fully contracted / self-loops only).
+    `intra` (entry weight with src != dst inside one community — the
+    reference's self-loop-free `in`, `community.cpp:134`) is one pool wave
+    on `pool`, or on an owned pool when None."""
     m2 = _m2(graph, m_mode)
     if m2 <= 0:
         return 0.0
     deg = graph.degrees()
     tot = np.bincount(assign, weights=deg, minlength=graph.n)
-    if pool is not None:
+    with pool_for(graph, pool) as pool:
         intra = pool.intra_weight(assign)
-    else:
-        intra = intra_community_weight(graph, ray.put(assign))
     nz = tot > 0
     return intra / m2 - float(((tot[nz] / m2) ** 2).sum())
 
@@ -170,60 +104,18 @@ def coarsen(
 ) -> tuple[GraphHandle, np.ndarray]:
     """Contract communities: entries grouped by (comm[src], comm[dst]) with
     weights summed — including self-loops (`community.cpp:181-191`).
-    Deterministic dense renumbering by sorted old community id.
+    Deterministic dense renumbering by sorted old community id. One wave
+    on `pool`, or on an owned pool when None.
     Returns (coarse graph, old vid -> new community id)."""
     old = np.unique(assign)
     dense = np.searchsorted(old, assign).astype(np.int64)
     ncomms = int(old.shape[0])
-    if pool is not None:
-        # actor-side partial contraction + driver merge (coarse graphs are
-        # small; the Dataset-groupby path below is the large-coarse fallback)
+    # worker-side partial contraction + driver merge: the merged entry list
+    # is bounded by the fine graph's entry count and already combined per
+    # worker
+    with pool_for(graph, pool) as pool:
         csrc, cdst, cw = pool.contract(dense, ncomms)
-        from parallel_louvain_method_ray.graph.build import build_graph_small
-
-        coarse = build_graph_small(
-            csrc, cdst, cw, graph.config, n_vertices=ncomms
-        )
-        return coarse, dense
-    dense_ref = ray.put(dense)
-
-    def contract(batch: pa.Table) -> pa.Table:
-        d = ray.get(dense_ref)
-        keys, ws = [], []
-        for shard in unpack_shards(batch):
-            counts = np.diff(shard.indptr)
-            src = np.repeat(shard.vids, counts)
-            key = d[src] * np.int64(ncomms) + d[shard.cols]
-            uk, inv = np.unique(key, return_inverse=True)
-            wsum = np.zeros(uk.shape[0], dtype=np.float64)
-            np.add.at(wsum, inv, shard.weights)
-            keys.append(uk)
-            ws.append(wsum)
-        k = np.concatenate(keys) if keys else np.empty(0, np.int64)
-        w = np.concatenate(ws) if ws else np.empty(0, np.float64)
-        return pa.table(
-            {
-                "src": (k // ncomms).astype(np.int64),
-                "dst": (k % ncomms).astype(np.int64),
-                "weight": w,
-            }
-        )
-
-    coarse_entries = (
-        graph.shards.map_batches(contract, batch_format="pyarrow")
-        .groupby(["src", "dst"])
-        .sum("weight")
-        .map_batches(
-            lambda b: b.rename_columns(["src", "dst", "weight"]),
-            batch_format="pyarrow",
-        )
-    )
-    coarse = build_graph(
-        coarse_entries,
-        graph.config,
-        already_symmetrized=True,
-        n_vertices=ncomms,
-    )
+    coarse = build_graph_small(csrc, cdst, cw, graph.config, n_vertices=ncomms)
     return coarse, dense
 
 
@@ -263,115 +155,87 @@ def louvain_level(
     pool=None,
 ) -> tuple[np.ndarray, bool, LevelMetrics]:
     """One Louvain level (the reference's `iterate()`,
-    `community.cpp:64-102`): BSP sweeps until 0 moves. Returns
-    (assignments, improved, metrics). `on_sweep(sweep_idx, assign, moves)`
-    is the checkpoint hook. `start_sweep`/`prior_moves` seed the metric
-    totals on resume so a resumed level reports its full history."""
+    `community.cpp:64-102`): BSP sweeps on `pool` (an owned pool when
+    None) until 0 moves. Returns (assignments, improved, metrics).
+    `on_sweep(sweep_idx, assign, moves)` is the checkpoint hook.
+    `start_sweep`/`prior_moves` seed the metric totals on resume so a
+    resumed level reports its full history."""
     cfg = config or graph.config or DEFAULT_CONFIG
-    n = graph.n
-    deg = graph.degrees()
-    assign = (
-        start_assign.copy()
-        if start_assign is not None
-        else np.arange(n, dtype=np.int64)
-    )
-    metrics = LevelMetrics(
-        level=-1, n_vertices=n, m=graph.m, sweeps=start_sweep, moves=prior_moves
-    )
-    metrics.modularity_before = modularity(graph, assign, m_mode, pool=pool)
-    improved = prior_moves > 0
-    best_q = metrics.modularity_before
-    best_assign = assign.copy()
-    stall = 0
-    prev_moves = np.iinfo(np.int64).max
-    active = None  # None = full sweep (first sweep / non-pool paths)
-    pending_delta = None  # last sweep's moves -> next round's broadcast
-    sweeps_since_full = 0
-    for sweep in range(start_sweep, cfg.max_sweeps):
-        if pool is not None:
-            # workers derive tot/csize from the assign snapshot themselves;
-            # after the first sweep only ACTIVE vertices (neighbors of the
-            # previous sweep's moves) are rescanned — the convergence tail
-            # costs O(changed neighborhood), not O(V)
-            # active-set sweeps (opt-in): rescan only neighbors of last
-            # sweep's moves. Faster tail, but misses moves triggered by
-            # global tot drift — measured ~0.04 modularity cost on the
-            # planted web graph, so quality-first runs keep full sweeps.
-            eff_active = active if cfg.active_set_sweeps else None
-            # delta broadcast: after sweep 1 the moves ARE the delta —
+    with pool_for(graph, pool) as pool:
+        n = graph.n
+        m2 = _m2(graph, m_mode)
+        assign = (
+            start_assign.copy()
+            if start_assign is not None
+            else np.arange(n, dtype=np.int64)
+        )
+        metrics = LevelMetrics(
+            level=-1, n_vertices=n, m=graph.m, sweeps=start_sweep,
+            moves=prior_moves,
+        )
+        metrics.modularity_before = modularity(graph, assign, m_mode, pool)
+        improved = prior_moves > 0
+        best_q = metrics.modularity_before
+        best_assign = assign.copy()
+        stall = 0
+        prev_moves = np.iinfo(np.int64).max
+        pending_delta = None  # last sweep's moves -> next round's broadcast
+        sweeps_since_full = 0
+        for sweep in range(start_sweep, cfg.max_sweeps):
+            # workers derive tot/csize from the assign snapshot themselves.
+            # Delta broadcast: after sweep 1 the moves ARE the delta —
             # O(moves) per round instead of an O(V) assignment put. Every
             # 16th round re-sends the full array to pin the incremental
             # float drift that tot/csize scatter-updates can accumulate.
             use_delta = pending_delta is not None and sweeps_since_full < 16
-            cv, cc, moves, nbrs = pool.sweep(
-                assign, None, None, _m2(graph, m_mode), tie_break,
-                active=eff_active, need_active=cfg.active_set_sweeps,
+            cv, cc, moves = pool.sweep(
+                assign, m2, tie_break=tie_break,
                 delta=pending_delta if use_delta else None,
             )
             sweeps_since_full = sweeps_since_full + 1 if use_delta else 1
             pending_delta = (cv, cc) if moves else None
-            if tie_break == "canonical" and cfg.active_set_sweeps:
-                active = np.zeros(n, dtype=bool)
-                active[nbrs] = True
-                active[cv] = True
-        else:
-            tot = np.bincount(assign, weights=deg, minlength=n)
-            csize = (
-                np.bincount(assign, minlength=n)
-                if tie_break == "canonical"
-                else None
-            )
-            cv, cc, moves = _sweep_pass(
-                graph,
-                ray.put(assign),
-                ray.put(tot),
-                tie_break,
-                _m2(graph, m_mode),
-                csize_ref=ray.put(csize) if csize is not None else None,
-            )
-        if moves:
-            assign[cv] = cc
-            improved = True
-        metrics.sweeps += 1
-        metrics.moves += moves
-        if on_sweep is not None:
-            on_sweep(sweep, assign, moves)
-        if moves == 0:
-            break
-        # Oscillation guard (P>1 only; at P=1 the kernel is exactly the
-        # sequential algorithm and terminates via moves==0). Tracks the
-        # BEST modularity seen — an up/down 2-cycle never beats its own
-        # peak, so it stalls out; on abort the best snapshot is restored.
-        # The (exact, one-pass) modularity check only runs when the move
-        # count stops strictly decreasing — while moves shrink the sweep is
-        # converging and the extra pass would be pure overhead.
-        if moves >= prev_moves:
-            q = modularity(graph, assign, m_mode, pool=pool)
-            if q > best_q + cfg.stall_eps:
-                best_q = q
-                best_assign = assign.copy()
-                stall = 0
+            if moves:
+                assign[cv] = cc
+                improved = True
+            metrics.sweeps += 1
+            metrics.moves += moves
+            if on_sweep is not None:
+                on_sweep(sweep, assign, moves)
+            if moves == 0:
+                break
+            # Oscillation guard (P>1 only; at P=1 the kernel is exactly the
+            # sequential algorithm and terminates via moves==0). Tracks the
+            # BEST modularity seen — an up/down 2-cycle never beats its own
+            # peak, so it stalls out; on abort the best snapshot is
+            # restored. The (exact, one-pass) modularity check only runs
+            # when the move count stops strictly decreasing — while moves
+            # shrink the sweep is converging and the extra pass would be
+            # pure overhead.
+            if moves >= prev_moves:
+                q = modularity(graph, assign, m_mode, pool)
+                if q > best_q + STALL_EPS:
+                    best_q = q
+                    best_assign = assign.copy()
+                    stall = 0
+                else:
+                    stall += 1
+                    if stall >= STALL_SWEEPS:
+                        assign = best_assign
+                        break
             else:
-                stall += 1
-                if stall >= cfg.stall_sweeps:
-                    assign = best_assign
-                    break
-        else:
-            # converging phase (moves strictly decreasing): skip the Q
-            # measurement for speed but do NOT overwrite best_assign —
-            # (best_q, best_assign) must stay a measured pair so a later
-            # stall abort restores the snapshot best_q describes
-            stall = 0
-        prev_moves = moves
-    metrics.modularity_after = modularity(graph, assign, m_mode, pool=pool)
-    metrics.n_communities = int(np.unique(assign).shape[0])
-    return assign, improved, metrics
+                # converging phase (moves strictly decreasing): skip the Q
+                # measurement for speed but do NOT overwrite best_assign —
+                # (best_q, best_assign) must stay a measured pair so a
+                # later stall abort restores the snapshot best_q describes
+                stall = 0
+            prev_moves = moves
+        metrics.modularity_after = modularity(graph, assign, m_mode, pool)
+        metrics.n_communities = int(np.unique(assign).shape[0])
+        return assign, improved, metrics
 
 
 def _collect_entries(graph: GraphHandle):
     """Driver-side (src, dst, w) arrays of a SMALL graph's entry list."""
-    from parallel_louvain_method_ray.graph.csr import shard_to_entries
-
     srcs, dsts, ws = [], [], []
     for b in graph.shards.iter_batches(batch_format="pyarrow"):
         for shard in unpack_shards(pa.table(b)):
@@ -443,7 +307,7 @@ def _driver_level(
         if use_chunked:
             moves = chunked_local_move_sweep(
                 vids, indptr, dst, w, assign, tot, deg, m2,
-                csize=csize, chunk=cfg.kernel_chunk,
+                csize=csize, chunk=KERNEL_CHUNK,
             )
         else:
             moves = local_move_sweep(
@@ -467,8 +331,6 @@ def _driver_coarsen(
     assign: np.ndarray, entries: tuple, cfg: EngineConfig
 ) -> tuple[GraphHandle, np.ndarray]:
     """Driver-local contraction (identical semantics to `coarsen`)."""
-    from parallel_louvain_method_ray.graph.build import build_graph_small
-
     src, dst, w = entries
     old = np.unique(assign)
     dense = np.searchsorted(old, assign).astype(np.int64)
@@ -495,8 +357,9 @@ def _polish(
     pool,
 ) -> np.ndarray:
     """Refinement sweeps on the ORIGINAL graph from the composed
-    membership. Strict Gauss-Seidel driver-side when the entry list fits
-    `polish_driver_entries` (each accepted move strictly improves Q);
+    membership, for runs whose distributed levels ran on `pool`. Strict
+    Gauss-Seidel driver-side when the entry list fits
+    `POLISH_DRIVER_ENTRIES` (each accepted move strictly improves Q);
     otherwise chunked-kernel sweeps through the pool. The polished
     assignment is kept only when its exact Q beats the input's."""
     m2 = _m2(graph0, m_mode)
@@ -504,8 +367,8 @@ def _polish(
         return membership
     n = graph0.n
     deg = graph0.degrees()
-    if graph0.n_entries <= cfg.polish_driver_entries:
-        if pool is not None and (
+    if graph0.n_entries <= POLISH_DRIVER_ENTRIES:
+        if (
             pool.graph is graph0
             or graph0.n_entries > cfg.driver_local_entries
         ):
@@ -547,8 +410,6 @@ def _polish(
                 break
         return assign if q_of(assign) > q0 else membership
     # large graph: pool-path refinement (chunked kernel), Q-gated
-    if pool is not None and pool.graph is not graph0:
-        pool.reload(graph0)
     from dataclasses import replace
 
     cfg_p = replace(cfg, max_sweeps=cfg.polish_sweeps, polish_sweeps=0)
@@ -580,11 +441,14 @@ def louvain(
     tie_break: str = "canonical",
     checkpointer=None,
     m_mode: str = "count",
-    use_pool: bool = True,
     pool=None,
 ) -> LouvainResult:
     """Multi-level Louvain: (level sweeps -> coarsen) until a level makes no
     move. Assignment composition across levels is maintained driver-side.
+
+    `pool`: caller-owned (possibly prespawned) ShardPool — reused across
+    levels and NOT shut down here; None = create one on the first
+    distributed level and shut it down on return.
 
     The reported `modularity` is computed on the ORIGINAL (level-0) graph
     under the composed assignments — per-level Q values (in `levels`) use
@@ -601,7 +465,6 @@ def louvain(
     graph0 = graph
     membership = np.arange(graph.n, dtype=np.int64)
     levels: list[LevelMetrics] = []
-    final_q = 0.0
     start_level, start_sweep, start_assign = 0, 0, None
     resumed_prior_moves = 0
     if checkpointer is not None:
@@ -613,116 +476,99 @@ def louvain(
                 graph0 = checkpointer.load_level_graph(0) or graph
             else:
                 graph0 = graph
-    from parallel_louvain_method_ray.state.shard_pool import ShardPool
-
-    # `pool`: caller-owned (possibly prespawned) ShardPool — reused across
-    # levels and NOT shut down here; None = create lazily and own it.
-    own_pool = pool is None
     any_distributed = False
-    try:
-      for level in range(start_level, cfg.max_levels):
-        on_sweep = None
-        if checkpointer is not None:
-            checkpointer.begin_level(level, graph, membership)
-            on_sweep = lambda s, a, mv: checkpointer.on_sweep(level, s, a, mv)
-        # The VERTEX gate applies only to COARSE levels (its motivation:
-        # distributing a 6k-vertex contracted graph is pure chunk-Jacobi
-        # oscillation for no gain). Level 0 is gated by ENTRY count alone —
-        # otherwise a large-but-low-vertex input graph would silently run
-        # the whole algorithm serial on the driver.
-        local = graph.n_entries <= cfg.driver_local_entries or (
-            level > 0 and graph.n <= cfg.driver_local_vertices
-        )
-        any_distributed = any_distributed or not local
-        if not local and use_pool:
-            if pool is None:
-                pool = ShardPool(graph)
-            elif pool.graph is not graph:
-                pool.reload(graph)
-        elif pool is not None and not use_pool:
-            pool = None
-        if local:
-            assign, improved, metrics, entries = _driver_level(
-                graph,
-                cfg,
-                tie_break,
-                m_mode,
-                on_sweep=on_sweep,
-                start_assign=start_assign if level == start_level else None,
-                start_sweep=start_sweep if level == start_level else 0,
-                prior_moves=resumed_prior_moves if level == start_level else 0,
+    with contextlib.ExitStack() as owned:
+        for level in range(start_level, cfg.max_levels):
+            on_sweep = None
+            if checkpointer is not None:
+                checkpointer.begin_level(level, graph, membership)
+                on_sweep = lambda s, a, mv: checkpointer.on_sweep(level, s, a, mv)
+            # The VERTEX gate applies only to COARSE levels (its motivation:
+            # distributing a 6k-vertex contracted graph is pure chunk-Jacobi
+            # oscillation for no gain). Level 0 is gated by ENTRY count
+            # alone — otherwise a large-but-low-vertex input graph would
+            # silently run the whole algorithm serial on the driver.
+            local = graph.n_entries <= cfg.driver_local_entries or (
+                level > 0 and graph.n <= cfg.driver_local_vertices
             )
+            any_distributed = any_distributed or not local
+            if not local and pool is None:
+                pool = owned.enter_context(pool_for(graph))
+            resume_here = level == start_level
+            if local:
+                assign, improved, metrics, entries = _driver_level(
+                    graph,
+                    cfg,
+                    tie_break,
+                    m_mode,
+                    on_sweep=on_sweep,
+                    start_assign=start_assign if resume_here else None,
+                    start_sweep=start_sweep if resume_here else 0,
+                    prior_moves=resumed_prior_moves if resume_here else 0,
+                )
+            else:
+                assign, improved, metrics = louvain_level(
+                    graph,
+                    cfg,
+                    tie_break,
+                    on_sweep=on_sweep,
+                    start_assign=start_assign if resume_here else None,
+                    start_sweep=start_sweep if resume_here else 0,
+                    m_mode=m_mode,
+                    prior_moves=resumed_prior_moves if resume_here else 0,
+                    pool=pool,
+                )
+            metrics.level = level
+            if not improved and level > 0:
+                # no moves: keep the previous level's converged modularity —
+                # per-level Q is relative to that level's m (reference
+                # ecount semantics), so an unimproved coarse level's
+                # singleton Q is not the result
+                break
+            if local:
+                coarse, dense = _driver_coarsen(assign, entries, cfg)
+            else:
+                coarse, dense = coarsen(graph, assign, pool=pool)
+            membership = dense[membership]
+            levels.append(metrics)
+            if checkpointer is not None:
+                checkpointer.end_level(level, metrics)
+            if not improved:
+                break
+            if coarse.n == graph.n:
+                # coarsening made no progress — e.g. the oscillation guard
+                # reverted the level to its starting assignment, or every
+                # move was a pure label permutation. Continuing would repeat
+                # the identical level until max_levels (observed at
+                # mult=256: 30 wasted levels x 14 sweeps).
+                break
+            graph = coarse
+        # polish: refinement sweeps on the ORIGINAL graph from the composed
+        # membership (closes the chunked-Jacobi quality gap of distributed
+        # levels — a move-refine pass in the spirit of Leiden's refinement;
+        # strict GS when the graph fits the driver budget). Kept only if Q
+        # improves, and only for runs with DISTRIBUTED levels: fully
+        # driver-local runs are already strict GS and stay bit-exact vs the
+        # sequential oracle.
+        if cfg.polish_sweeps > 0 and len(levels) > 0 and any_distributed:
+            membership = _polish(graph0, membership, cfg, m_mode, pool)
+        # final Q on the ORIGINAL graph under the composed assignments
+        if graph0.n_entries <= cfg.driver_local_entries:
+            src0, dst0, w0 = _collect_entries(graph0)
+            m2 = _m2(graph0, m_mode)
+            if m2 <= 0:
+                final_on_orig = 0.0
+            else:
+                mask = (src0 != dst0) & (membership[src0] == membership[dst0])
+                tot0 = np.bincount(
+                    membership, weights=graph0.degrees(), minlength=graph0.n
+                )
+                nz = tot0 > 0
+                final_on_orig = float(w0[mask].sum()) / m2 - float(
+                    ((tot0[nz] / m2) ** 2).sum()
+                )
         else:
-            assign, improved, metrics = louvain_level(
-                graph,
-                cfg,
-                tie_break,
-                on_sweep=on_sweep,
-                start_assign=start_assign if level == start_level else None,
-                start_sweep=start_sweep if level == start_level else 0,
-                m_mode=m_mode,
-                prior_moves=resumed_prior_moves if level == start_level else 0,
-                pool=pool if use_pool else None,
-            )
-        metrics.level = level
-        if not improved and level > 0:
-            # no moves: keep the previous level's converged modularity —
-            # per-level Q is relative to that level's m (reference ecount
-            # semantics), so an unimproved coarse level's singleton Q is
-            # not the result
-            break
-        if local:
-            coarse, dense = _driver_coarsen(assign, entries, cfg)
-        else:
-            coarse, dense = coarsen(graph, assign, pool=pool if use_pool else None)
-        membership = dense[membership]
-        levels.append(metrics)
-        if checkpointer is not None:
-            checkpointer.end_level(level, metrics)
-        final_q = metrics.modularity_after
-        if not improved:
-            break
-        if coarse.n == graph.n:
-            # coarsening made no progress — e.g. the oscillation guard
-            # reverted the level to its starting assignment, or every move
-            # was a pure label permutation. Continuing would repeat the
-            # identical level until max_levels (observed at mult=256:
-            # 30 wasted levels x 14 sweeps).
-            break
-        graph = coarse
-      # polish: refinement sweeps on the ORIGINAL graph from the composed
-      # membership (closes the chunked-Jacobi quality gap of distributed
-      # levels — a move-refine pass in the spirit of Leiden's refinement;
-      # strict GS when the graph fits the driver budget). Kept only if Q
-      # improves, and only for runs with DISTRIBUTED levels: fully
-      # driver-local runs are already strict GS and stay bit-exact vs the
-      # sequential oracle.
-      if cfg.polish_sweeps > 0 and len(levels) > 0 and any_distributed:
-          membership = _polish(
-              graph0, membership, cfg, m_mode, pool if use_pool else None
-          )
-      # final Q on the ORIGINAL graph under the composed assignments
-      if graph0.n_entries <= cfg.driver_local_entries:
-          src0, dst0, w0 = _collect_entries(graph0)
-          m2 = _m2(graph0, m_mode)
-          if m2 <= 0:
-              final_on_orig = 0.0
-          else:
-              mask = (src0 != dst0) & (membership[src0] == membership[dst0])
-              tot0 = np.bincount(
-                  membership, weights=graph0.degrees(), minlength=graph0.n
-              )
-              nz = tot0 > 0
-              final_on_orig = float(w0[mask].sum()) / m2 - float(
-                  ((tot0[nz] / m2) ** 2).sum()
-              )
-      else:
-          if pool is not None and pool.graph is not graph0:
-              pool.reload(graph0)
-          final_on_orig = modularity(graph0, membership, m_mode, pool=pool)
-    finally:
-        if pool is not None and own_pool:
-            pool.shutdown()
+            final_on_orig = modularity(graph0, membership, m_mode, pool=pool)
     return LouvainResult(
         assignments=canonicalize_labels(membership),
         modularity=final_on_orig,

@@ -19,60 +19,21 @@ Mandated extension (SURVEY §2.6). Deterministic synchronous formulation
 from __future__ import annotations
 
 import numpy as np
-import pyarrow as pa
-import ray
 
 from parallel_louvain_method_ray.graph.build import GraphHandle
-from parallel_louvain_method_ray.graph.csr import unpack_shards
-
-
-def _best_labels_for_shard(shard, lab: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized per-row weighted label argmax with (max weight, min label)
-    tie-break. Returns (row_best_label, row_best_weight)."""
-    counts = np.diff(shard.indptr)
-    row_idx = np.repeat(np.arange(shard.vids.shape[0]), counts)
-    src = np.repeat(shard.vids, counts)
-    mask = src != shard.cols
-    row_idx = row_idx[mask]
-    nlab = lab[shard.cols[mask]]
-    w = shard.weights[mask]
-
-    # aggregate weight per (row, label)
-    key = row_idx * np.int64(lab.max() + 2) + nlab  # label ids < lab.max()+1
-    uk, inv = np.unique(key, return_inverse=True)
-    wsum = np.zeros(uk.shape[0], dtype=np.float64)
-    np.add.at(wsum, inv, w)
-    rows = uk // np.int64(lab.max() + 2)
-    labs = uk % np.int64(lab.max() + 2)
-
-    # per-row argmax: sort by (row asc, weight desc, label asc), take first
-    order = np.lexsort((labs, -wsum, rows))
-    rows_o, labs_o, w_o = rows[order], labs[order], wsum[order]
-    first = np.ones(rows_o.shape[0], dtype=bool)
-    first[1:] = rows_o[1:] != rows_o[:-1]
-    out_lab = np.full(shard.vids.shape[0], -1, dtype=np.int64)
-    out_w = np.zeros(shard.vids.shape[0], dtype=np.float64)
-    out_lab[rows_o[first]] = labs_o[first]
-    out_w[rows_o[first]] = w_o[first]
-    return out_lab, out_w
+from parallel_louvain_method_ray.state.shard_pool import pool_for
 
 
 def label_propagation(
-    graph: GraphHandle, max_sweeps: int = 25, on_sweep=None, use_pool: bool = True, pool=None
+    graph: GraphHandle, max_sweeps: int = 25, on_sweep=None, pool=None
 ) -> tuple[np.ndarray, dict]:
-    n = graph.n
-    labels = np.arange(n, dtype=np.int64)
+    """Returns (labels int64[n], metrics). Each sweep is one ShardPool
+    round (`ShardPool.lpa_sweep`) on `pool`, or on an owned pool when
+    None."""
+    labels = np.arange(graph.n, dtype=np.int64)
     sweeps = 0
-    own_pool = False
-    if pool is None and use_pool:
-        from parallel_louvain_method_ray.state.shard_pool import ShardPool
-
-        pool = ShardPool(graph)
-        own_pool = True
-    elif pool is not None and pool.graph is not graph:
-        pool.reload(graph)
-    for _ in range(max_sweeps):
-        if pool is not None:
+    with pool_for(graph, pool) as pool:
+        for _ in range(max_sweeps):
             changed = 0
             new_labels = labels.copy()
             for vid, lab in pool.lpa_sweep(labels):
@@ -84,58 +45,6 @@ def label_propagation(
                 on_sweep(sweeps, labels, changed)
             if changed == 0:
                 break
-            continue
-        lab_ref = ray.put(labels)
-
-        def kernel(batch: pa.Table) -> pa.Table:
-            lab = ray.get(lab_ref)
-            out_v, out_l = [], []
-            for shard in unpack_shards(batch):
-                best, bw = _best_labels_for_shard(shard, lab)
-                cur = lab[shard.vids]
-                # current label's incident weight, for keep-on-tie
-                counts = np.diff(shard.indptr)
-                src = np.repeat(shard.vids, counts)
-                m = (src != shard.cols) & (
-                    lab[shard.cols] == np.repeat(cur, counts)
-                )
-                curw = np.bincount(
-                    np.repeat(np.arange(shard.vids.shape[0]), counts)[m],
-                    weights=shard.weights[m],
-                    minlength=shard.vids.shape[0],
-                )
-                better = (best >= 0) & (
-                    (bw > curw) | ((bw == curw) & (best < cur))
-                )
-                out_v.append(shard.vids[better])
-                out_l.append(best[better])
-            return pa.table(
-                {
-                    "vid": np.concatenate(out_v) if out_v else np.empty(0, np.int64),
-                    "label": (
-                        np.concatenate(out_l) if out_l else np.empty(0, np.int64)
-                    ),
-                }
-            )
-
-        changed = 0
-        new_labels = labels.copy()
-        for b in graph.shards.map_batches(kernel, batch_format="pyarrow").iter_batches(
-            batch_format="pyarrow"
-        ):
-            t = pa.table(b)
-            vid = t.column("vid").to_numpy(zero_copy_only=False)
-            lab = t.column("label").to_numpy(zero_copy_only=False)
-            new_labels[vid] = lab
-            changed += int(vid.shape[0])
-        labels = new_labels
-        sweeps += 1
-        if on_sweep is not None:
-            on_sweep(sweeps, labels, changed)
-        if changed == 0:
-            break
-    if pool is not None and own_pool:
-        pool.shutdown()
     return labels, {"sweeps": sweeps}
 
 

@@ -9,22 +9,21 @@ Mandated extension (BASELINE.json north_rule) — no reference counterpart
 with damping d = 0.85, uniform init 1/N, dangling mass (vertices with zero
 out-weight) redistributed uniformly, convergence on L1 delta < tol.
 
-Execution: one shuffle-free map_batches pass over the materialized shards
-per iteration; each task emits SPARSE (dst, partial) contribution sums for
-its partition (numpy bincount over CSR — pre-aggregated, so the driver
-accumulates at most P * distinct-dst rows, not E rows). Rank vector is O(V)
-driver state broadcast via ray.put per iteration (see graph/build.py scale
-notes).
+Execution: every iteration is one ShardPool round (`state/shard_pool.py`):
+each worker bincounts its shards' contributions into a partial incoming
+vector, and the partials are summed on the driver (small n) or reduced
+slice-wise by reducer tasks. Below `ShardPool.DRIVER_REDUCE_MAX_N` the
+rank vector is O(V) driver state broadcast via ray.put per iteration
+(see graph/build.py scale notes); above it the fully-sharded
+`ShardPool.pagerank_power` keeps the rank slices in the object store.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pyarrow as pa
-import ray
 
 from parallel_louvain_method_ray.graph.build import GraphHandle
-from parallel_louvain_method_ray.graph.csr import unpack_shards
+from parallel_louvain_method_ray.state.shard_pool import pool_for
 
 
 def pagerank(
@@ -35,7 +34,6 @@ def pagerank(
     on_iteration=None,
     start_ranks: np.ndarray | None = None,
     start_iter: int = 0,
-    use_pool: bool = True,
     pool=None,
     personalization: np.ndarray | None = None,
 ) -> tuple[np.ndarray, dict]:
@@ -45,7 +43,8 @@ def pagerank(
 
     `personalization`: optional restart distribution p (normalized here);
     teleport and dangling mass go to p instead of uniform 1/N, and the
-    default init is p — standard personalized PageRank."""
+    default init is p — standard personalized PageRank. Runs on `pool`,
+    or on an owned pool when None."""
     n = graph.n
     out_w = graph.degrees()  # weighted out-degree = CSR row weight sums
     dangling = out_w <= 0.0
@@ -67,91 +66,46 @@ def pagerank(
     iters = 0
     delta = np.inf
 
-    own_pool = False
-    if pool is None and use_pool and max_iter - start_iter > 2:
-        from parallel_louvain_method_ray.state.shard_pool import ShardPool
+    with pool_for(graph, pool) as pool:
+        if on_iteration is None and n > pool.DRIVER_REDUCE_MAX_N:
+            # large state: fully-sharded power iteration — rank slices live
+            # in plasma, per-round driver work is O(W) scalars (no O(n)
+            # broadcast put / dense per-worker accumulators; see
+            # ShardPool.pagerank_power)
+            ranks, info = pool.pagerank_power(
+                inv_out,
+                dangling,
+                damping=damping,
+                tol=tol,
+                max_iter=max_iter - start_iter,
+                r0=ranks if (start_ranks is not None or p is not None) else None,
+                p=p,
+            )
+            return ranks, {
+                "iterations": start_iter + info["iterations"],
+                "l1_delta": info["l1_delta"],
+            }
 
-        pool = ShardPool(graph)
-        own_pool = True
-    elif pool is not None and pool.graph is not graph:
-        pool.reload(graph)
-
-    if (
-        pool is not None
-        and on_iteration is None
-        and n > pool.DRIVER_REDUCE_MAX_N
-    ):
-        # large state: fully-sharded power iteration — rank slices live in
-        # plasma, per-round driver work is O(W) scalars (no O(n) broadcast
-        # put / dense per-worker accumulators; see ShardPool.pagerank_power)
-        ranks, info = pool.pagerank_power(
-            inv_out,
-            dangling,
-            damping=damping,
-            tol=tol,
-            max_iter=max_iter - start_iter,
-            r0=ranks if (start_ranks is not None or p is not None) else None,
-            p=p,
-        )
-        if own_pool:
-            pool.shutdown()
-        return ranks, {
-            "iterations": start_iter + info["iterations"],
-            "l1_delta": info["l1_delta"],
-        }
-
-    for it in range(start_iter, max_iter):
-        scaled = ranks * inv_out  # rank(u)/outdeg_w(u), 0 for dangling
-        if pool is not None:
+        for it in range(start_iter, max_iter):
+            scaled = ranks * inv_out  # rank(u)/outdeg_w(u), 0 for dangling
             incoming = pool.pagerank_iter(scaled)
-        else:
-            incoming = _incoming_dataset_pass(graph, scaled, n)
-
-        dangling_mass = float(ranks[dangling].sum())
-        if p is None:  # uniform teleport — keep the historical expression
-            new_ranks = (1.0 - damping) / n + damping * (
-                incoming + dangling_mass / n
-            )
-        else:
-            new_ranks = (1.0 - damping) * p + damping * (
-                incoming + dangling_mass * p
-            )
-        delta = float(np.abs(new_ranks - ranks).sum())
-        ranks = new_ranks
-        iters = it + 1
-        if on_iteration is not None:
-            on_iteration(it, ranks, delta)
-        if delta < tol:
-            break
-
-    if pool is not None and own_pool:
-        pool.shutdown()
+            dangling_mass = float(ranks[dangling].sum())
+            if p is None:  # uniform teleport — keep the historical expression
+                new_ranks = (1.0 - damping) / n + damping * (
+                    incoming + dangling_mass / n
+                )
+            else:
+                new_ranks = (1.0 - damping) * p + damping * (
+                    incoming + dangling_mass * p
+                )
+            delta = float(np.abs(new_ranks - ranks).sum())
+            ranks = new_ranks
+            iters = it + 1
+            if on_iteration is not None:
+                on_iteration(it, ranks, delta)
+            if delta < tol:
+                break
     return ranks, {"iterations": iters, "l1_delta": delta}
-
-
-def _incoming_dataset_pass(graph: GraphHandle, scaled: np.ndarray, n: int) -> np.ndarray:
-    """Streaming fallback: one map_batches pass emitting sparse partials."""
-    scaled_ref = ray.put(scaled)
-
-    def contrib(batch: pa.Table) -> pa.Table:
-        s = ray.get(scaled_ref)
-        acc = np.zeros(n, dtype=np.float64)
-        for shard in unpack_shards(batch):
-            counts = np.diff(shard.indptr)
-            src = np.repeat(shard.vids, counts)
-            acc += np.bincount(shard.cols, weights=s[src] * shard.weights, minlength=n)
-        nz = np.flatnonzero(acc)
-        return pa.table({"dst": nz.astype(np.int64), "partial": acc[nz]})
-
-    incoming = np.zeros(n, dtype=np.float64)
-    for b in graph.shards.map_batches(contrib, batch_format="pyarrow").iter_batches(
-        batch_format="pyarrow"
-    ):
-        t = pa.table(b)
-        dst = t.column("dst").to_numpy(zero_copy_only=False)
-        part = t.column("partial").to_numpy(zero_copy_only=False)
-        np.add.at(incoming, dst, part)
-    return incoming
 
 
 def pagerank_oracle(
@@ -189,13 +143,13 @@ def katz_centrality(
     """Katz centrality by fixed-iteration power series:
     x_k = alpha * A^T x_{k-1} + beta, x_0 = beta * 1.
 
-    Reuses the sparse incoming-sum pass (no degree normalization — that is
-    the only difference from a PageRank iteration). Fixed `iters` so the
-    truncated series is exactly reproducible by the unrolled SQL oracle;
-    pick alpha < 1/lambda_max when convergence (not parity) matters."""
-    n = graph.n
-    x = np.full(n, beta, dtype=np.float64)
-    for _ in range(iters):
-        incoming = _incoming_dataset_pass(graph, x, n)
-        x = alpha * incoming + beta
+    Reuses the PageRank incoming-sum round, `ShardPool.pagerank_iter` (no
+    degree normalization — that is the only difference from a PageRank
+    iteration), on an owned pool. Fixed `iters` so the truncated
+    series is exactly reproducible by the unrolled SQL oracle; pick
+    alpha < 1/lambda_max when convergence (not parity) matters."""
+    x = np.full(graph.n, beta, dtype=np.float64)
+    with pool_for(graph) as pool:
+        for _ in range(iters):
+            x = alpha * pool.pagerank_iter(x) + beta
     return x, {"iterations": iters}

@@ -55,10 +55,8 @@ def main(argv=None) -> int:
 
     from parallel_louvain_method_ray._pickle import ensure_registered
     from parallel_louvain_method_ray.algos.louvain import (
-        canonicalize_labels,
         coarsen,
         louvain,
-        louvain_level,
         modularity,
     )
     from parallel_louvain_method_ray.ckpt.manifest import LouvainCheckpointer
@@ -69,11 +67,10 @@ def main(argv=None) -> int:
         write_edges_text,
         write_communities,
     )
+    from parallel_louvain_method_ray.state.shard_pool import ShardPool
 
     ensure_registered()
-    cfg = EngineConfig(
-        num_partitions=args.partitions, checkpoint_dir=args.checkpoint_dir
-    )
+    cfg = EngineConfig(num_partitions=args.partitions)
 
     if args.input.endswith(".parquet") or any(
         f.endswith(".parquet")
@@ -91,24 +88,32 @@ def main(argv=None) -> int:
         + (f", {bad} bad input lines skipped" if bad else "")
     )
 
-    q0 = modularity(graph, np.arange(graph.n, dtype=np.int64), args.m_mode)
-    print(f"Modularity before: {q0:.6f}")
+    # one pool for the whole run: modularity, every distributed Louvain
+    # level and the final contraction reuse the same warm workers
+    pool = ShardPool(graph)
+    try:
+        singletons = np.arange(graph.n, dtype=np.int64)
+        q0 = modularity(graph, singletons, args.m_mode, pool)
+        print(f"Modularity before: {q0:.6f}")
 
-    ck = (
-        LouvainCheckpointer(args.checkpoint_dir, cfg)
-        if args.checkpoint_dir
-        else None
-    )
-    cfg2 = cfg if args.levels == 0 else EngineConfig(
-        num_partitions=args.partitions, max_levels=args.levels,
-        checkpoint_dir=args.checkpoint_dir,
-    )
-    res = louvain(graph, cfg2, m_mode=args.m_mode, checkpointer=ck)
-    membership = res.assignments
-    q1 = res.modularity
-    n_comms = int(np.unique(membership).shape[0])
-    sweeps = sum(l.sweeps for l in res.levels)
-    coarse_graph, _ = coarsen(graph, membership)
+        ck = (
+            LouvainCheckpointer(args.checkpoint_dir, cfg)
+            if args.checkpoint_dir
+            else None
+        )
+        cfg2 = cfg if args.levels == 0 else EngineConfig(
+            num_partitions=args.partitions, max_levels=args.levels
+        )
+        res = louvain(
+            graph, cfg2, m_mode=args.m_mode, checkpointer=ck, pool=pool
+        )
+        membership = res.assignments
+        q1 = res.modularity
+        n_comms = int(np.unique(membership).shape[0])
+        sweeps = sum(l.sweeps for l in res.levels)
+        coarse_graph, _ = coarsen(graph, membership, pool=pool)
+    finally:
+        pool.shutdown()
 
     print(f"Modularity after: {q1:.6f}  ({n_comms} communities, {sweeps} sweeps)")
 

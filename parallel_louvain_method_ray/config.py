@@ -3,8 +3,10 @@
 The reference hard-codes its parallelism as the MPI ``comm_size`` and a
 contiguous block vertex partition (``/root/reference/src/graph.cpp:123-134``,
 ``owner(v) = v / local_vcount``, which requires N % P == 0). Here "P" is an
-explicit engine parameter and the partition function is ``src % P`` over the
-densely renumbered vertex ids — balanced without the divisibility constraint.
+explicit engine parameter and the partition function is the contiguous
+range ``src * P // n`` over the densely renumbered vertex ids — balanced
+without the divisibility constraint (``src % P`` when n is unknown at
+build time, see ``graph.build.build_graph``).
 """
 
 from __future__ import annotations
@@ -19,47 +21,12 @@ class EngineConfig:
     # batches stay chunky.
     num_partitions: int = 8
 
-    # Vertex partition function:
-    # - "range": contiguous vid ranges (pid = src * P // n). Dense ids come
-    #   from SORTED url/raw-id renumbering, so range partitions preserve
-    #   hostname locality — most Louvain moves become partition-local
-    #   Gauss-Seidel (fast convergence). Needs n_vertices at build time.
-    # - "mod": pid = src % P. No locality, perfectly balanced; used when n
-    #   is unknown.
-    partition_mode: str = "range"
-
-    # Rows per batch for edge-stream map_batches stages.
-    edge_batch_size: int = 65536
-
-    # Rows per batch for page-table stages (wide `html:binary` rows — keep
-    # batches small so batch x concurrency fits the worker heap).
-    page_batch_size: int = 256
-
     # Max sweeps per Louvain level (safety cap; the reference loops until a
     # sweep makes 0 moves — `src/community.cpp:69-101`).
     max_sweeps: int = 64
 
     # Max Louvain levels (coarsening rounds).
     max_levels: int = 32
-
-    # Stop a level early if modularity improved by less than this for
-    # `stall_sweeps` consecutive sweeps (guards against cross-partition
-    # oscillation that the reference damps with a temperature —
-    # `src/distcommunity.cpp:549-562`; our BSP kernel is deterministic, so a
-    # stall detector is enough).
-    stall_eps: float = 1e-12
-    stall_sweeps: int = 3
-
-    # Degree above which a vertex is treated as a hub for salted two-stage
-    # aggregations (None = auto from the degree histogram).
-    hub_degree_threshold: int | None = None
-
-    # Vertex-block size of the pool workers' chunked local-move kernel
-    # (Jacobi within a block, Gauss-Seidel across blocks). Larger blocks
-    # amortize per-chunk numpy overhead (the sweep bottleneck at scale);
-    # smaller blocks converge in fewer sweeps. 256 measured ~2x sweep
-    # throughput vs 64 with no modularity loss on the planted web graphs.
-    kernel_chunk: int = 256
 
     # A partition with more CSR entries than this is split into multiple
     # shard rows on vertex boundaries (hub-skew straggler defense — see
@@ -68,19 +35,11 @@ class EngineConfig:
 
     # After the multi-level loop converges, run up to this many REFINEMENT
     # sweeps on the ORIGINAL graph starting from the composed membership
-    # (strict Gauss-Seidel when the graph fits the driver budget below,
-    # chunked kernel otherwise). Escapes coarse-level chunk-Jacobi
-    # lock-ins; only kept when it improves Q. 0 disables.
+    # (strict Gauss-Seidel when the graph fits the driver budget,
+    # chunked kernel otherwise — see algos/louvain.py). Escapes
+    # coarse-level chunk-Jacobi lock-ins; only kept when it improves Q.
+    # 0 disables.
     polish_sweeps: int = 3
-
-    # Max entries for the DRIVER-side strict-GS polish; larger graphs
-    # polish through the shard pool (chunked kernel).
-    polish_driver_entries: int = 5_000_000
-
-    # Opt-in: Louvain sweeps rescan only the neighbors of the previous
-    # sweep's moves (throughput-first; ~0.04 modularity cost on planted
-    # web graphs — see algos/louvain.py).
-    active_set_sweeps: bool = False
 
     # Louvain levels with at most this many entries run DRIVER-LOCAL
     # (sequential Gauss-Seidel, P=1 semantics): below this size a
@@ -95,9 +54,6 @@ class EngineConfig:
     # Level 0 is gated by driver_local_entries alone, so a large input
     # graph never silently runs serial. Set to 0 to disable.
     driver_local_vertices: int = 100_000
-
-    # Checkpoint directory (None = no checkpointing).
-    checkpoint_dir: str | None = None
 
     # Vertex-count budget for the broadcast engine: above this, iterative
     # algorithms must run on the ghost-restricted JOIN path

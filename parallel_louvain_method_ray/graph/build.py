@@ -276,7 +276,11 @@ def build_graph(
     """
     cfg = config or DEFAULT_CONFIG
     P = cfg.num_partitions
-    use_range = cfg.partition_mode == "range" and n_vertices is not None
+    # contiguous vid ranges when n is known: dense ids come from SORTED
+    # url/raw-id renumbering, so range partitions preserve hostname
+    # locality — most Louvain moves become partition-local Gauss-Seidel.
+    # Without n, pid = src % P (no locality, perfectly balanced).
+    use_range = n_vertices is not None
     n_for_range = n_vertices or 0
 
     def prep(batch: pa.Table) -> pa.Table:
@@ -378,10 +382,7 @@ def build_graph_small(
     src = src.astype(np.int64, copy=False)
     dst = dst.astype(np.int64, copy=False)
     w = w.astype(np.float64, copy=False)
-    if cfg.partition_mode == "range":
-        pid = np.minimum(src * P // max(n_vertices, 1), P - 1)
-    else:
-        pid = src % P
+    pid = np.minimum(src * P // max(n_vertices, 1), P - 1)
     tables = []
     for p in np.unique(pid):
         m = pid == p

@@ -1,35 +1,69 @@
-"""Persistent CSR shard actors for the iterative phases.
+"""Persistent CSR shard actors: the one executor of the broadcast tier.
 
 Graph CONSTRUCTION is Dataset-shaped (one shuffle, streaming); the
-ITERATIVE phases (Louvain sweeps, PageRank power iterations, CC rounds,
-LPA sweeps) are BSP loops whose per-round work is tiny compared to a fresh
-Dataset execution's task-graph overhead. This is the case SURVEY §7.3
-reserves for raw Ray actors: each `ShardWorker` ray.gets its share of the
-materialized shard BLOCKS once (zero-copy from the object store) and then
-serves per-round kernel calls; a round is one `ray.remote` call per worker
-plus small broadcast refs — no scheduling of a new task graph.
+ITERATIVE phases (Louvain sweeps, PageRank/Katz power iterations, CC
+rounds, LPA sweeps) are BSP loops whose per-round work is tiny compared to
+a fresh Dataset execution's task-graph overhead. This is the case SURVEY
+§7.3 reserves for raw Ray actors: each `ShardWorker` ray.gets its share of
+the materialized shard BLOCKS once (zero-copy from the object store) and
+then serves per-round kernel calls; a round is one `ray.remote` call per
+worker plus small broadcast refs — no scheduling of a new task graph.
 
-The kernels come from the same module the Dataset path uses
-(`algos/_local_move.py`), but in canonical mode the pool runs
-`chunked_local_move_sweep` (Jacobi within 64-vertex blocks) while the
-Dataset `_sweep_pass` runs the strict per-vertex `local_move_sweep` — the
-two paths are EQUIVALENT-QUALITY (same gain formula, tie-breaks and
-guards) but not bit-identical on distributed levels. In "reference"
-tie-break mode both paths run the same strict kernel and do match.
+Every per-round kernel of the broadcast tier lives here exactly once:
+local move (`algos/_local_move.py`), intra-community weight, contraction,
+the PageRank/Katz partial, the CC local fixpoint and the LPA best label.
+In canonical mode the workers run `chunked_local_move_sweep` (Jacobi
+within KERNEL_CHUNK-vertex blocks); in "reference" tie-break mode they run
+the strict per-vertex `local_move_sweep`, so a one-shard graph is
+bit-identical to the sequential oracle. Callers that hold no pool get an
+owned one through `pool_for`.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 import pyarrow as pa
 import ray
 
 from parallel_louvain_method_ray.algos._local_move import (
+    KERNEL_CHUNK,
     chunked_local_move_sweep,
     local_move_sweep,
 )
-from parallel_louvain_method_ray.algos.lpa import _best_labels_for_shard
-from parallel_louvain_method_ray.graph.csr import unpack_shards
+from parallel_louvain_method_ray.graph.csr import shard_to_entries, unpack_shards
+
+
+def _best_labels_for_shard(shard, lab: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized per-row weighted label argmax with (max weight, min label)
+    tie-break. Returns (row_best_label, row_best_weight)."""
+    counts = np.diff(shard.indptr)
+    row_idx = np.repeat(np.arange(shard.vids.shape[0]), counts)
+    src = np.repeat(shard.vids, counts)
+    mask = src != shard.cols
+    row_idx = row_idx[mask]
+    nlab = lab[shard.cols[mask]]
+    w = shard.weights[mask]
+
+    # aggregate weight per (row, label)
+    key = row_idx * np.int64(lab.max() + 2) + nlab  # label ids < lab.max()+1
+    uk, inv = np.unique(key, return_inverse=True)
+    wsum = np.zeros(uk.shape[0], dtype=np.float64)
+    np.add.at(wsum, inv, w)
+    rows = uk // np.int64(lab.max() + 2)
+    labs = uk % np.int64(lab.max() + 2)
+
+    # per-row argmax: sort by (row asc, weight desc, label asc), take first
+    order = np.lexsort((labs, -wsum, rows))
+    rows_o, labs_o, w_o = rows[order], labs[order], wsum[order]
+    first = np.ones(rows_o.shape[0], dtype=bool)
+    first[1:] = rows_o[1:] != rows_o[:-1]
+    out_lab = np.full(shard.vids.shape[0], -1, dtype=np.int64)
+    out_w = np.zeros(shard.vids.shape[0], dtype=np.float64)
+    out_lab[rows_o[first]] = labs_o[first]
+    out_w[rows_o[first]] = w_o[first]
+    return out_lab, out_w
 
 
 @ray.remote(num_cpus=0)
@@ -158,9 +192,8 @@ class ShardWorker:
         return True
 
     def louvain_sweep(
-        self, assign_in, deg, m2: float, tie_break: str, active_in=None,
-        chunk: int = 256, need_active: bool = False,
-        delta_v=None, delta_c=None, profile: bool = False,
+        self, assign_in, deg, m2: float, tie_break: str,
+        delta_v=None, delta_c=None,
     ):
         # ObjectRef args are auto-resolved by Ray before the method runs.
         # Every shard must see the PRE-SWEEP global snapshot (partition
@@ -177,17 +210,9 @@ class ShardWorker:
         # O(V) deserialize + 2 bincounts to O(moves) + 2 memcpys. The
         # driver re-sends the full assignment periodically to pin any
         # incremental float drift in tot (see louvain_level).
-        import time as _time
-
-        t_start = _time.perf_counter()
-        out_v, out_c, out_nbr = [], [], []
+        out_v, out_c = [], []
         if not self.shards:
-            empty3 = (
-                np.empty(0, np.int64),
-                np.empty(0, np.int64),
-                np.empty(0, np.int64),
-            )
-            return empty3 + ({},) if profile else empty3
+            return np.empty(0, np.int64), np.empty(0, np.int64)
         n = deg.shape[0]
         canonical = tie_break == "canonical"
         # int32 working copy (comm ids < n < 2^31): halves the random-
@@ -238,8 +263,6 @@ class ShardWorker:
         # PER WORKER (~600 MB at n=51M), pure DRAM traffic that rivaled the
         # kernel's own and killed the 8->32 CPU sweep ratio at mult=1280.
         tot0 = tot.copy() if not canonical else None
-        t_state = _time.perf_counter()
-        t_kernel = 0.0
         for si, shard in enumerate(self.shards):
             if not canonical:
                 # reference-mode GS perturbs tot even for non-movers
@@ -248,7 +271,6 @@ class ShardWorker:
                 assign = np.array(assign_in)
                 tot = np.bincount(assign, weights=deg, minlength=n)
             before = assign[shard.vids].copy()
-            t_k0 = _time.perf_counter()
             if canonical:
                 undo_log: list = []
                 chunked_local_move_sweep(
@@ -261,8 +283,7 @@ class ShardWorker:
                     deg,
                     m2,
                     csize=csize,
-                    chunk=chunk,
-                    active=active_in,
+                    chunk=KERNEL_CHUNK,
                     undo_log=undo_log,
                     unit_weights=self._unit_w[si],
                 )
@@ -279,27 +300,12 @@ class ShardWorker:
                     tie_break=tie_break,
                     csize=csize,
                 )
-            t_kernel += _time.perf_counter() - t_k0
             after = assign[shard.vids]
             changed = after != before
             cv = shard.vids[changed]
             cc = after[changed]
             out_v.append(cv)
             out_c.append(cc)
-            # neighbors of moved vertices -> next sweep's active set
-            # (skipped unless active-set sweeps are on: the driver-side
-            # unique over ~E/2 ids was measured as ~0.4s of SERIAL cost
-            # per round — the dominant Amdahl term of the sweep)
-            if need_active and cv.shape[0]:
-                rows_idx = np.flatnonzero(changed)
-                cnts = np.diff(shard.indptr)[rows_idx]
-                total = int(cnts.sum())
-                starts = shard.indptr[rows_idx]
-                offs = np.repeat(starts, cnts) + (
-                    np.arange(total)
-                    - np.repeat(np.cumsum(cnts) - cnts, cnts)
-                )
-                out_nbr.append(np.unique(shard.cols[offs]))
             # exact undo of this shard's effects on the shared state
             if canonical:
                 assign[cv] = before[changed]
@@ -311,31 +317,14 @@ class ShardWorker:
                 touched = np.union1d(before[changed], cc)
                 assign[cv] = before[changed]
                 tot[touched] = tot0[touched]
-        out = (
-            np.concatenate(out_v) if out_v else np.empty(0, np.int64),
-            np.concatenate(out_c) if out_c else np.empty(0, np.int64),
-            np.unique(np.concatenate(out_nbr)) if out_nbr else np.empty(0, np.int64),
-        )
-        if profile:
-            t_end = _time.perf_counter()
-            return out + (
-                {
-                    "t_state": t_state - t_start,
-                    "t_kernel": t_kernel,
-                    "t_other": (t_end - t_state) - t_kernel,
-                    "n_shards": len(self.shards),
-                    "n_vids": int(sum(s.vids.shape[0] for s in self.shards)),
-                },
-            )
-        return out
+        return np.concatenate(out_v), np.concatenate(out_c)
 
     def dump_entries(self):
         """This worker's (src, dst, w) entry arrays — lets the driver
         assemble a small graph's full entry list in one wave instead of
         re-scanning the shards Dataset (used by the Louvain polish pass,
-        which is gated to driver-budget-sized graphs anyway)."""
-        from parallel_louvain_method_ray.graph.csr import shard_to_entries
-
+        which is gated to driver-budget-sized graphs anyway). No
+        in-method package imports (see lpa_sweep)."""
         srcs, dsts, ws = [], [], []
         for shard in self.shards:
             s, d, w = shard_to_entries(shard)
@@ -654,12 +643,9 @@ class ShardPool:
         self._have_sweep_state = False
         return self
 
-    def sweep(
-        self, assign, tot, csize, m2, tie_break, active=None,
-        need_active: bool = False, delta=None,
-    ):
-        """Returns (changed_vids, new_comms, moves, neighbors_of_moved);
-        neighbors are only computed when `need_active` (active-set mode).
+    def sweep(self, assign, m2, tie_break, delta=None):
+        """One local-move round over every shard; returns (changed_vids,
+        new_comms, moves).
 
         `delta=(moved_vids, new_comms)` promises that `assign` equals the
         snapshot the workers hold from the previous round with exactly
@@ -670,17 +656,12 @@ class ShardPool:
         use_delta = (
             delta is not None and canonical and self._have_sweep_state
         )
-        active_ref = ray.put(active) if active is not None else None
-        chunk = getattr(
-            getattr(self.graph, "config", None), "kernel_chunk", 256
-        ) or 256
         if use_delta:
             dv = np.asarray(delta[0], dtype=np.int64)
             dc = np.asarray(delta[1], dtype=np.int64)
             futs = [
                 w.louvain_sweep.remote(
-                    None, self.graph.degrees_ref, m2, tie_break,
-                    active_ref, chunk, need_active, dv, dc
+                    None, self.graph.degrees_ref, m2, tie_break, dv, dc
                 )
                 for w in self.workers
             ]
@@ -691,21 +672,15 @@ class ShardPool:
             assign_ref = ray.put(assign)
             futs = [
                 w.louvain_sweep.remote(
-                    assign_ref, self.graph.degrees_ref, m2, tie_break,
-                    active_ref, chunk, need_active
+                    assign_ref, self.graph.degrees_ref, m2, tie_break
                 )
                 for w in self.workers
             ]
         outs = ray.get(futs)
         self._have_sweep_state = canonical
-        vids = np.concatenate([o[0] for o in outs]) if outs else np.empty(0, np.int64)
-        comms = np.concatenate([o[1] for o in outs]) if outs else np.empty(0, np.int64)
-        nbrs = (
-            np.unique(np.concatenate([o[2] for o in outs]))
-            if outs
-            else np.empty(0, np.int64)
-        )
-        return vids, comms, int(vids.shape[0]), nbrs
+        vids = np.concatenate([o[0] for o in outs])
+        comms = np.concatenate([o[1] for o in outs])
+        return vids, comms, int(vids.shape[0])
 
     def intra_weight(self, assign) -> float:
         ref = ray.put(assign)
@@ -959,3 +934,22 @@ class ShardPool:
         for w in self.workers:
             ray.kill(w)
         self.workers = []
+
+
+@contextlib.contextmanager
+def pool_for(graph, pool: ShardPool | None = None):
+    """The ShardPool a per-round algorithm runs on: the caller's `pool`
+    (reloaded when it holds another graph, and left running), or a fresh
+    pool owned by this context and shut down on exit — also when the body
+    raises, so an interrupted run does not leave actors pinning shard
+    blocks until the driver exits."""
+    if pool is not None:
+        if pool.graph is not graph:
+            pool.reload(graph)
+        yield pool
+        return
+    owned = ShardPool(graph)
+    try:
+        yield owned
+    finally:
+        owned.shutdown()

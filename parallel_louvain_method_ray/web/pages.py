@@ -53,7 +53,7 @@ def _pages_per_domain(n_pages: int, n_domains: int) -> int:
 def page_url(i: int, n_pages: int, n_domains: int) -> str:
     """Domains are BLOCKS of consecutive ids (crawls cluster by host), so
     lexicographic url sorting -> dense renumbering preserves hostname
-    locality (what range partitioning exploits, see config.partition_mode)."""
+    locality (what range partitioning exploits, see graph.build.build_graph)."""
     d = min(i // _pages_per_domain(n_pages, n_domains), n_domains - 1)
     return f"https://d{d:04d}.example.com/p/{i:012d}"
 

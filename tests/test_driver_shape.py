@@ -78,6 +78,7 @@ import numpy as np
 import ray
 
 ray.init(address="local", num_cpus=4, include_dashboard=False)
+from parallel_louvain_method_ray.algos.louvain import louvain
 from parallel_louvain_method_ray.algos.lpa import label_propagation
 from parallel_louvain_method_ray.config import EngineConfig
 from parallel_louvain_method_ray.graph.build import graph_from_entry_arrays
@@ -90,20 +91,28 @@ g = graph_from_entry_arrays(
     src[keep], dst[keep], np.ones(int(keep.sum())),
     EngineConfig(num_partitions=4),
 )
-labels, meta = label_propagation(g, max_sweeps=2, use_pool=True)
+labels, meta = label_propagation(g, max_sweeps=2)
 assert labels.shape[0] == g.n
+# distributed levels end in the polish pass, which gathers the entry list
+# from the workers (ShardWorker.dump_entries)
+res = louvain(g, EngineConfig(
+    num_partitions=4, driver_local_entries=0, driver_local_vertices=0,
+))
+assert res.assignments.shape[0] == g.n
 print("FOREIGN_CWD_OK", meta.get("sweeps"))
 ray.shutdown()
 """
 
 
 def test_shard_pool_from_foreign_cwd(tmp_path):
-    """Regression: ShardWorker.lpa_sweep did a runtime absolute import of
-    the package inside the actor method; when the driver's cwd is not the
-    repo root the worker interpreter can't import the package (modules
-    ship pickled BY VALUE, runtime imports don't), and the sweep died with
-    ModuleNotFoundError. Run the pool LPA with cwd pointing at an empty
-    directory to pin the fix (imports hoisted to module scope)."""
+    """Regression: ShardWorker.lpa_sweep and ShardWorker.dump_entries did
+    runtime absolute imports of the package inside the actor method; when
+    the driver's cwd is not the repo root the worker interpreter can't
+    import the package (modules ship pickled BY VALUE, runtime imports
+    don't), and the call died with ModuleNotFoundError. Run the pool LPA
+    and a distributed Louvain (whose polish pass calls dump_entries) with
+    cwd pointing at an empty directory to pin the fix (imports hoisted to
+    module scope)."""
     repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ)
     env["RAY_ADDRESS"] = "local"

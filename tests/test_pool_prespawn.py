@@ -33,8 +33,8 @@ def test_prespawn_reload_matches_direct_pool():
         assert pre._keepalive_thread is None
         assign = np.arange(g.n, dtype=np.int64)
         m2 = 2.0 * g.m
-        cv1, cc1, mv1, _ = direct.sweep(assign.copy(), None, None, m2, "canonical")
-        cv2, cc2, mv2, _ = pre.sweep(assign.copy(), None, None, m2, "canonical")
+        cv1, cc1, mv1 = direct.sweep(assign.copy(), m2, "canonical")
+        cv2, cc2, mv2 = pre.sweep(assign.copy(), m2, "canonical")
         assert mv1 == mv2
         o1, o2 = np.argsort(cv1), np.argsort(cv2)
         np.testing.assert_array_equal(cv1[o1], cv2[o2])

@@ -20,8 +20,8 @@ def _trajectory(graph, use_delta: bool, n_sweeps: int = 6):
         traj = []
         pending = None
         for _ in range(n_sweeps):
-            cv, cc, moves, _ = pool.sweep(
-                assign, None, None, m2, "canonical",
+            cv, cc, moves = pool.sweep(
+                assign, m2, "canonical",
                 delta=pending if use_delta else None,
             )
             order = np.argsort(cv)
