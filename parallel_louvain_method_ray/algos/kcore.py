@@ -12,10 +12,12 @@ Two tiers (the same contract as Louvain/PageRank/CC/LPA):
   once with a groupby dedupe (one shuffle) and materialized; each round
   is one shuffle-free map_batches pass emitting per-vertex alive-degree
   partials against a broadcast alive bitmap (O(V) driver state).
-- `kcore_joined` (scale path, above `max_broadcast_vertices`): the alive
-  set is a DATASET; each round is two hash joins (edge endpoints ⋈
-  alive) + one groupby — no driver state at all. Identical per-round
-  semantics (parity pinned in tests/test_joined_path.py)."""
+- `state.spmv_pool.kcore_peel_partitioned` (sharded tier, above
+  `max_broadcast_vertices`): the deduped spokes and each vertex's
+  survivor flag live on the pool actor that owns the vertex; a round is
+  one count wave plus a combine, and the alive set comes back as a
+  Dataset. Identical per-round semantics (parity pinned in
+  tests/test_joined_path.py)."""
 
 from __future__ import annotations
 
@@ -149,38 +151,3 @@ def kcore_bounded(
         alive = new_alive
     return alive, {"rounds": done}
 
-
-def kcore_joined(
-    edges: ray.data.Dataset,
-    k: int,
-    rounds: int = 16,
-    src_col: str = "src",
-    dst_col: str = "dst",
-    partitions: int | None = None,
-) -> tuple[ray.data.Dataset, dict]:
-    """k-core peel with the alive set returned as a Dataset (vid) — the
-    beyond-broadcast tier. Exactly `rounds` synchronous peels (or the
-    earlier fixpoint, identical by monotonicity); per-round semantics
-    match `kcore_bounded` bit for bit.
-
-    Implementation: the hash-partitioned BSP peel
-    (`state.peel_pool.kcore_peel_partitioned`) — spokes partitioned once
-    by v % P across P actors, survivor state homed with its partition,
-    one round = two RPC waves of tiny partial-count tables. The r4
-    all-Dataset version (2 hash joins + 1 groupby PER ROUND) spent ~3 s
-    of pure operator fixed cost per round (VERDICT r4 #7); this one moves
-    no O(V)/O(E) data through the driver either (the tier's contract) and
-    a round is ~50 ms. See state/peel_pool.py for the partitioning
-    assumption."""
-    from parallel_louvain_method_ray.state.peel_pool import (
-        kcore_peel_partitioned,
-    )
-
-    return kcore_peel_partitioned(
-        edges,
-        k=k,
-        rounds=rounds,
-        src_col=src_col,
-        dst_col=dst_col,
-        partitions=partitions,
-    )

@@ -52,7 +52,8 @@ def reach2_pairs(
     `max_out_degree` drops hub MIDDLE vertices from the 2-hop expansion
     (under-approximates reach, exactly like linkpred's wedge cap);
     None = exact. Shared by `scc2_labels` and `ball2_sizes`."""
-    assert n < 3_037_000_499, "u*n+v packing needs n^2 < 2^63"
+    if n >= 3_037_000_499:
+        raise ValueError(f"u*n+v packing needs n^2 < 2^63, got n={n}")
 
     def clean(b: pa.Table) -> pa.Table:
         s = b.column("src").to_numpy(zero_copy_only=False)

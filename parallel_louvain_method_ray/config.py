@@ -56,10 +56,11 @@ class EngineConfig:
     driver_local_vertices: int = 100_000
 
     # Vertex-count budget for the broadcast engine: above this, iterative
-    # algorithms must run on the ghost-restricted JOIN path
-    # (algos/joined.py) because O(V) dense driver/broadcast state no
-    # longer fits. `louvain_auto` routes on this knob; 2e8 int64 vids
-    # ~ 1.6 GB of driver state, a safe single-node ceiling.
+    # algorithms must run on the sharded tier (state/spmv_pool.py)
+    # because O(V) dense driver/broadcast state no longer fits. The
+    # flagship (pipelines/web_graph.py:_flagship_rest) routes on this
+    # knob; 2e8 int64 vids ~ 1.6 GB of driver state, a safe single-node
+    # ceiling.
     max_broadcast_vertices: int = 200_000_000
 
 

@@ -160,15 +160,23 @@ def assign_dense_ids(
     """(key, vid) with vid = rank of key in global sorted order, computed
     WITHOUT collecting the key set: global `sort(key)` (range shuffle),
     then each sorted block numbers its rows from a prefix offset; the
-    driver holds only the per-block row counts (O(num_blocks))."""
+    driver holds only the per-block row counts (O(num_blocks)). A sort
+    with fewer keys than blocks leaves schema-less empty blocks; those
+    are skipped."""
     sorted_ds = distinct.sort(key).materialize()
-    refs = sorted_ds.get_internal_block_refs()
+    refs = [
+        ref
+        for bundle in sorted_ds.iter_internal_ref_bundles()
+        for ref, _ in bundle.blocks
+    ]
 
     @ray.remote
     def _nrows(block) -> int:
         return (block if isinstance(block, pa.Table) else pa.table(block)).num_rows
 
     counts = ray.get([_nrows.remote(r) for r in refs])
+    refs = [r for r, c in zip(refs, counts) if c]
+    counts = [c for c in counts if c]
     offsets = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(np.int64)
 
     @ray.remote

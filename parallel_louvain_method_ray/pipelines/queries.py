@@ -424,7 +424,7 @@ def q_louvain_assign_parity(sf_dir: str):
 
 
 # ---------------------------------------------------------------------------
-# ghost-restricted (join-path) variants — same oracles, no O(V) broadcast
+# sharded-tier variants (state/spmv_pool.py) — same oracles, no O(V) broadcast
 # ---------------------------------------------------------------------------
 
 _joined_cache: dict[str, object] = {}
@@ -440,25 +440,24 @@ def _joined_for(sf_dir: str):
 
 
 def q_pagerank5_joined(sf_dir: str):
-    from parallel_louvain_method_ray.algos.joined import _collect, pagerank_joined
+    from parallel_louvain_method_ray.algos.joined import _collect
+    from parallel_louvain_method_ray.state.spmv_pool import pagerank_partitioned
 
     _, raw = _graph_for(sf_dir)
     jg = _joined_for(sf_dir)
-    ranks_ds, _ = pagerank_joined(jg, tol=0.0, max_iter=5)
+    ranks_ds, _ = pagerank_partitioned(jg.edges, jg.n, tol=0.0, max_iter=5)
     t = _collect(ranks_ds.sort("vid"))
     r = t.column("rank").to_numpy(zero_copy_only=False)
     return _t(vid=raw, rank=np.round(r, 9))
 
 
 def q_cc_joined(sf_dir: str):
-    from parallel_louvain_method_ray.algos.joined import (
-        _collect,
-        connected_components_joined,
-    )
+    from parallel_louvain_method_ray.algos.joined import _collect
+    from parallel_louvain_method_ray.state.spmv_pool import cc_partitioned
 
     _, raw = _graph_for(sf_dir)
     jg = _joined_for(sf_dir)
-    lab_ds, _ = connected_components_joined(jg)
+    lab_ds, _ = cc_partitioned(jg.edges, jg.n)
     lab = _collect(lab_ds.sort("vid")).column("label").to_numpy(
         zero_copy_only=False
     )
@@ -468,12 +467,13 @@ def q_cc_joined(sf_dir: str):
 def q_bfs_joined(sf_dir: str):
     """Join-path BFS (all state in Datasets — the 10^12-vertex fallback);
     same seeds and oracle as `bfs_distances`."""
-    from parallel_louvain_method_ray.algos.joined import _collect, bfs_joined
+    from parallel_louvain_method_ray.algos.joined import _collect
+    from parallel_louvain_method_ray.state.spmv_pool import bfs_partitioned
 
     _, raw = _graph_for(sf_dir)
     jg = _joined_for(sf_dir)
     seeds = np.flatnonzero((raw % 37) == 0)
-    dist_ds, _ = bfs_joined(jg, seeds)
+    dist_ds, _ = bfs_partitioned(jg.edges, jg.n, seeds)
     t = _collect(dist_ds.sort("vid"))
     dist = t.column("dist").to_numpy(zero_copy_only=False)
     reached = dist < jg.n
@@ -481,14 +481,12 @@ def q_bfs_joined(sf_dir: str):
 
 
 def q_lpa_one_sweep_joined(sf_dir: str):
-    from parallel_louvain_method_ray.algos.joined import (
-        _collect,
-        label_propagation_joined,
-    )
+    from parallel_louvain_method_ray.algos.joined import _collect
+    from parallel_louvain_method_ray.state.spmv_pool import lpa_partitioned
 
     _, raw = _graph_for(sf_dir)
     jg = _joined_for(sf_dir)
-    lab_ds, _ = label_propagation_joined(jg, max_sweeps=1)
+    lab_ds, _ = lpa_partitioned(jg.edges, jg.n, max_sweeps=1)
     lab = _collect(lab_ds.sort("vid")).column("label").to_numpy(
         zero_copy_only=False
     )
@@ -499,16 +497,16 @@ def q_louvain_first_sweep_joined(sf_dir: str):
     """One pure-Jacobi sweep from singletons on the JOIN path — same
     semantics (and the same SQL oracle) as louvain_first_sweep, with no
     dense driver arrays."""
-    from parallel_louvain_method_ray.algos.joined import (
-        _collect,
-        louvain_sweep_joined,
-        singleton_assignment,
+    from parallel_louvain_method_ray.algos.joined import _collect
+    from parallel_louvain_method_ray.state.spmv_pool import (
+        louvain_level_partitioned,
     )
 
     graph, raw = _graph_for(sf_dir)
     jg = _joined_for(sf_dir)
-    assign0 = singleton_assignment(jg)
-    assign1, _ = louvain_sweep_joined(jg, assign0, 2.0 * graph.m)
+    assign1, _ = louvain_level_partitioned(
+        jg.edges, jg.n, 2.0 * graph.m, max_sweeps=1
+    )
     comm = _collect(assign1.sort("vid")).column("comm").to_numpy(
         zero_copy_only=False
     )
@@ -518,11 +516,14 @@ def q_louvain_first_sweep_joined(sf_dir: str):
 def q_katz5_joined(sf_dir: str):
     """Katz on the join path (score vector as a Dataset — the
     beyond-broadcast tier); same truncated series and oracle as katz5."""
-    from parallel_louvain_method_ray.algos.joined import _collect, katz_joined
+    from parallel_louvain_method_ray.algos.joined import _collect
+    from parallel_louvain_method_ray.state.spmv_pool import katz_partitioned
 
     _, raw = _graph_for(sf_dir)
     jg = _joined_for(sf_dir)
-    x_ds, _ = katz_joined(jg, alpha=0.005, beta=1.0, iters=5)
+    x_ds, _ = katz_partitioned(
+        jg.edges, jg.n, alpha=0.005, beta=1.0, iters=5, weight_col="weight"
+    )
     x = _collect(x_ds.sort("vid")).column("katz").to_numpy(
         zero_copy_only=False
     )
@@ -532,12 +533,13 @@ def q_katz5_joined(sf_dir: str):
 def q_sssp_8hop_joined(sf_dir: str):
     """Hop-bounded SSSP on the join path (dists as a Dataset); same 8
     Bellman-Ford rounds and oracle as sssp_8hop."""
-    from parallel_louvain_method_ray.algos.joined import _collect, sssp_joined
+    from parallel_louvain_method_ray.algos.joined import _collect
+    from parallel_louvain_method_ray.state.spmv_pool import sssp_partitioned
 
     _, raw = _graph_for(sf_dir)
     jg = _joined_for(sf_dir)
     seeds = np.flatnonzero((raw % 37) == 0)
-    dist_ds, _ = sssp_joined(jg, seeds, hops=8)
+    dist_ds, _ = sssp_partitioned(jg.edges, jg.n, seeds, hops=8)
     dist = _collect(dist_ds.sort("vid")).column("dist").to_numpy(
         zero_copy_only=False
     )
@@ -2335,11 +2337,12 @@ def _web_hits3_sql(iters: int = 3) -> str:
 def q_web_hits3_joined(sf_dir: str):
     """HITS on the join path (hub/authority vectors as Datasets — the
     beyond-broadcast tier); same 3 L1-normalized iterations and oracle."""
-    from parallel_louvain_method_ray.algos.joined import _collect, hits_joined
+    from parallel_louvain_method_ray.algos.joined import _collect
+    from parallel_louvain_method_ray.state.spmv_pool import hits_partitioned
 
     n = read_table(sf_dir, "documents", columns=["doc_id"]).count()
     edges = q_web_link_edges(sf_dir)
-    out_ds, _ = hits_joined(edges, n, iters=3, weight_col="n_anchors")
+    out_ds, _ = hits_partitioned(edges, n, iters=3, weight_col="n_anchors")
     t = _collect(out_ds.sort("vid"))
     return _t(
         vid=t.column("vid").to_numpy(zero_copy_only=False),
@@ -2354,10 +2357,10 @@ def q_web_kcore7_joined(sf_dir: str):
     """k-core peel on the join path (alive set as a Dataset); same 16
     synchronous rounds and oracle as web_kcore7."""
     from parallel_louvain_method_ray.algos.joined import _collect
-    from parallel_louvain_method_ray.algos.kcore import kcore_joined
+    from parallel_louvain_method_ray.state.spmv_pool import kcore_peel_partitioned
 
     edges = q_web_link_edges(sf_dir)
-    alive_ds, _ = kcore_joined(edges, k=7, rounds=16)
+    alive_ds, _ = kcore_peel_partitioned(edges, k=7, rounds=16)
     t = _collect(alive_ds)
     vid = (
         np.sort(t.column("vid").to_numpy(zero_copy_only=False))

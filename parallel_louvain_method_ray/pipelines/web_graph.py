@@ -252,9 +252,9 @@ def flagship(
 
     Compute routing (VERDICT r3 #3): below `config.max_broadcast_vertices`
     the broadcast engines run (fast, O(V) driver state); above it BOTH
-    Louvain and PageRank degrade to the joined path, where every piece of
-    per-vertex state is a Dataset — the pipeline never OOMs the driver,
-    it just pays the join-per-round cost."""
+    Louvain and PageRank run on the sharded tier (state/spmv_pool.py),
+    where per-vertex state lives sharded on pool actors or in Datasets —
+    the pipeline never OOMs the driver."""
     cfg = config or DEFAULT_CONFIG
     # prespawn the shard-pool actors: fork + package import overlaps the
     # extract stage instead of blocking the first Louvain sweep wave
@@ -287,11 +287,13 @@ def _flagship_rest(
         from parallel_louvain_method_ray.algos.joined import (
             joined_graph_from_entries,
             louvain_joined,
-            pagerank_joined,
         )
         from parallel_louvain_method_ray.graph.build import (
             dedup_entries,
             symmetrize,
+        )
+        from parallel_louvain_method_ray.state.spmv_pool import (
+            pagerank_partitioned,
         )
 
         jg = joined_graph_from_entries(dedup_entries(symmetrize(edges)), n)
@@ -299,7 +301,9 @@ def _flagship_rest(
             jg, max_sweeps=cfg.max_sweeps, max_levels=cfg.max_levels,
             m_mode="weight",
         )
-        ranks_ds, _ = pagerank_joined(jg, tol=0.0, max_iter=pagerank_iters)
+        ranks_ds, _ = pagerank_partitioned(
+            jg.edges, jg.n, tol=0.0, max_iter=pagerank_iters
+        )
         scores = _join(
             comm_ds, _rename(ranks_ds, ["vid", "rank"]), on=("vid",)
         ).select_columns(["vid", "comm", "rank"])

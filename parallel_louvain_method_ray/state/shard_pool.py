@@ -67,11 +67,6 @@ def _best_labels_for_shard(shard, lab: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 @ray.remote(num_cpus=0)
-def _sum_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a + b
-
-
-@ray.remote(num_cpus=0)
 def _sum_slices(*parts: np.ndarray) -> np.ndarray:
     acc = parts[0].copy()
     for p in parts[1:]:

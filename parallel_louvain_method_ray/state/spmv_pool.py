@@ -1,43 +1,36 @@
-"""Hash-partitioned BSP SpMV engine for the joined (beyond-broadcast) tier.
+"""Hash-partitioned BSP pool: the one engine of the sharded tier.
 
-The r4 all-Dataset HITS/Katz paid 2-3 Ray Data operator executions PER
-half-step (edges ⋈ state join, groupby-sum, universe left_outer merge);
-each join execution spins fresh aggregator actors (~1-2 s) and the
-sort-based groupby has a per-distinct-key Python combine (~7 s at 50k
-keys measured at 32 cpu), so 3 HITS iterations cost ~31 s at sf0.01
-regardless of data size — pure fixed cost (VERDICT r4 #7, same disease
-as the k-core peel fixed in state/peel_pool.py).
+Above `EngineConfig.max_broadcast_vertices` the broadcast tier's O(V)
+arrays (state/shard_pool.py) no longer fit one process, so every
+iterative algorithm here keeps its vertex state sharded across P actors
+and moves only pre-combined partials between them. The reference's
+ghost exchange (the DegreeInfo / CommunityUpdate / CommunityInfo
+messages of its `src/distcommunity.cpp:387-545`) becomes one primitive:
 
-This module is the sparse-matrix-vector (SpMV) analogue of the peel
-pool — the one primitive behind HITS, Katz, and any fixed-iteration
-y = A^T x / y = A x loop (the reference's ghost-exchange machinery,
-`/root/reference/src/distcommunity.cpp:387-545`, dissolves into exactly
-this partial-sum exchange):
+- the edge table is split by a hash of one endpoint and scattered ONCE
+  when the pool starts: a by-src copy on actor `src % P` serves forward
+  waves (y[dst] += w * x[src], x local there), a by-dst copy on actor
+  `dst % P` serves reverse waves (y[src] += w * x[dst]), and the k-core
+  peel keeps its deduped undirected spokes by `v % P` (`PeelShard`);
+- actor p owns the vids {p, p+P, p+2P, ...}: a vector is one dense slice
+  per actor (the peel's survivor set is a sorted sparse vid array), and
+  vertex state never moves between actors;
+- every round is one `SpmvPool.exchange`, a chain of stages. Each stage
+  but the last returns P buckets keyed by the destination vid's hash
+  (`_buckets`), and bucket q of every sender is passed to the next stage
+  on actor q as top-level arguments, so Ray resolves them before the
+  call. With a single actor the whole chain runs inside one actor call
+  (`_Shard.chain`): there is nobody to exchange with, and each stage
+  would be an RPC of pure latency.
 
-- the DIRECTED edge table is hash-partitioned ONCE: a by-src copy on
-  actor `src % P` (serves forward waves: y[dst] += w * x[src] — x is
-  locally owned there) and, when reverse waves are needed, a by-dst
-  copy on actor `dst % P` (serves reverse waves: y[src] += w * x[dst]);
-- every named vector lives sharded: actor p owns the values for vids
-  {p, p+P, p+2P, ...} as one dense slice — vector state NEVER moves
-  between actors and the driver NEVER holds an O(V) array;
-- one wave = two RPC rounds: (1) each actor multiplies its edge
-  partition against its own vector slice and emits per-bucket partial
-  sums keyed by the output vid's hash (P tiny Arrow tables, shipped as
-  object refs); (2) each actor sums its bucket's partials into the
-  destination slice and returns only that slice's scalar sum (for L1
-  normalization) to the driver.
+Driver state: P actor handles, P*P refs per stage and P scalars per
+round, never an O(V) array. Input-side scaling (`scale` in `sum_wave`)
+folds L1 normalization into the next wave's read.
 
-Driver state: P actor handles, P*P refs per wave, P floats. Input-side
-scaling (`scale`) folds L1 normalization into the NEXT wave's read, so
-normalizing never touches the stored raw vectors.
-
-Partitioning assumption (documented per the brief): vids are dense
-0..n-1 and `v % P` spreads vector state evenly. A high-in-degree hub's
-incoming edges are spread across the by-src partitions of their
-sources, so its partial sums arrive pre-combined per actor — skew costs
-bandwidth on one combine, not Python time. At 256 nodes, P = cluster
-cores and edge partitions stream from the object store.
+Partitioning assumption: vids are dense 0..n-1 and `v % P` spreads
+vertex state evenly. A high-in-degree hub's partials arrive
+pre-combined per sender, so skew costs bandwidth on one combine, not
+Python time.
 """
 
 from __future__ import annotations
@@ -47,180 +40,151 @@ import pyarrow as pa
 import ray
 import ray.data
 
+# partitioned rows per actor when the caller gives no pool size
+_ROWS_PER_ACTOR = 500_000
+
+
+def _pool_size(rows: int, partitions: int | None = None) -> int:
+    """Actors for a pool over `rows` partitioned rows: `partitions` when
+    given, else ~500k rows per actor and never more than CPUs // 2."""
+    if partitions is not None:
+        return max(1, int(partitions))
+    cpus = (
+        int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
+    )
+    return max(1, min(cpus // 2 or 1, rows // _ROWS_PER_ACTOR + 1))
+
+
+def _fanout(parts: list):
+    """Per-destination objects as ONE return value: a tuple for
+    `num_returns=P`, the lone object for a one-actor pool (Ray hands a
+    single return back as is)."""
+    return tuple(parts) if len(parts) > 1 else parts[0]
+
+
+def _remote_buckets(method, P: int, *args) -> list:
+    """Launch a call that returns P buckets; always a list of P refs."""
+    refs = method.options(num_returns=P).remote(*args)
+    return refs if P > 1 else [refs]
+
+
+def _buckets(key: np.ndarray, P: int, build) -> list:
+    """Split rows by `key % P`: bucket q is `build(mask)` over the rows with
+    key % P == q, or None when there are none."""
+    hk = key % P
+    out = []
+    for q in range(P):
+        sel = hk == q
+        out.append(build(sel) if sel.any() else None)
+    return out
+
+
+def _columns(parts, *names) -> tuple | None:
+    """The named columns of the non-None partial tables, concatenated in
+    sender order; None when every part is None."""
+    tabs = [t for t in parts if t is not None]
+    if not tabs:
+        return None
+    t = pa.concat_tables(tabs)
+    return tuple(t.column(c).to_numpy(zero_copy_only=False) for c in names)
+
+
+def _group_sum(a: np.ndarray, b: np.ndarray, w: np.ndarray):
+    """Sum w per distinct (a, b) pair: (a, b, sum), sorted by (a, b)."""
+    order = np.lexsort((b, a))
+    a, b, w = a[order], b[order], w[order]
+    bnd = np.ones(len(a), dtype=bool)
+    bnd[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+    starts = np.flatnonzero(bnd)
+    return a[starts], b[starts], np.add.reduceat(w, starts)
+
 
 @ray.remote
 def _split_edges(
     block: pa.Table,
     P: int,
+    side: str,
     src_col: str,
     dst_col: str,
     weight_col: str | None,
-    reverse: bool,
 ):
-    """Bucket one edge block by `src % P` (reverse=False) or `dst % P`
-    (reverse=True). Returns P tables (None for empty buckets)."""
+    """Bucket one edge block as (s, d, w) rows: by src % P for side "f",
+    by dst % P for side "r", and for side "u" as undirected spokes
+    (self-loops dropped, both directions, s = u and d = v) by v % P."""
     s = block.column(src_col).to_numpy(zero_copy_only=False).astype(np.int64)
     d = block.column(dst_col).to_numpy(zero_copy_only=False).astype(np.int64)
     if weight_col is not None:
-        w = (
-            block.column(weight_col)
-            .to_numpy(zero_copy_only=False)
-            .astype(np.float64)
-        )
+        w = block.column(weight_col).to_numpy(zero_copy_only=False)
+        w = w.astype(np.float64)
     else:
         w = np.ones(len(s), dtype=np.float64)
-    key = d if reverse else s
-    hk = key % P
-    out = []
-    for p in range(P):
-        sel = hk == p
-        if not sel.any():
-            out.append(None)
-            continue
-        out.append(pa.table({"s": s[sel], "d": d[sel], "w": w[sel]}))
-    return tuple(out) if P > 1 else out[0]
-
-
-def _resolve_parts(parts) -> list:
-    """Partial tables arrive as ObjectRefs from the cross-actor wave
-    path, or as plain Arrow tables when a P==1 sweep is FUSED into one
-    actor call (no exchange needed — see the *_fused methods). Returns
-    the non-None tables either way."""
-    parts = list(parts)
-    if parts and isinstance(parts[0], ray.ObjectRef):
-        parts = ray.get(parts)
-    return [t for t in parts if t is not None]
-
-
-def _resolve_parts_keep_none(parts) -> list:
-    """Like _resolve_parts but preserves None entries — the serve-style
-    methods answer requester k with response k, so positions matter."""
-    parts = list(parts)
-    if parts and isinstance(parts[0], ray.ObjectRef):
-        parts = ray.get(parts)
-    return parts
-
-
-@ray.remote
-def _split_vec(block: pa.Table, P: int, vid_col: str, val_col: str):
-    """Bucket one (vid, value) block by vid % P for SpmvShard.ingest_vec."""
-    v = block.column(vid_col).to_numpy(zero_copy_only=False).astype(np.int64)
-    x = (
-        block.column(val_col)
-        .to_numpy(zero_copy_only=False)
-        .astype(np.float64)
+    if side == "u":
+        keep = s != d
+        s, d = np.concatenate([s[keep], d[keep]]), np.concatenate([d[keep], s[keep]])
+        w = np.concatenate([w[keep], w[keep]])
+    return _fanout(
+        _buckets(
+            s if side == "f" else d,
+            P,
+            lambda sel: pa.table({"s": s[sel], "d": d[sel], "w": w[sel]}),
+        )
     )
-    hv = v % P
-    out = []
-    for p in range(P):
-        sel = hv == p
-        out.append(pa.table({"v": v[sel], "x": x[sel]}) if sel.any() else None)
-    return tuple(out) if P > 1 else out[0]
 
 
-@ray.remote
-class SpmvShard:
-    """One vid-partition of the vector state + the edge partitions whose
-    input endpoint is homed here. See module docstring for the wave
-    protocol."""
+class _Shard:
+    """What every pool actor shares: its partition id, the pool size, and
+    the in-actor chain that runs a one-actor exchange."""
 
-    def __init__(self, pid: int, P: int, n: int) -> None:
+    def __init__(self, pid: int, P: int) -> None:
         self.pid = pid
         self.P = P
+
+    def chain(self, stages, *parts):
+        """Run the exchange's stages back to back: every bucket is
+        addressed to me, so each stage's output is the next one's input."""
+        out = None
+        for method, *args in stages:
+            out = getattr(self, method)(*args, *parts)
+            parts = (out,)
+        return out
+
+    def _local(self, vids: np.ndarray) -> np.ndarray:
+        """Slice index of vids homed here."""
+        return (vids - self.pid) // self.P
+
+
+@ray.remote
+class SpmvShard(_Shard):
+    """One vid-partition of the vector state plus the edge partitions
+    whose local endpoint is homed here. See the module docstring for the
+    exchange protocol."""
+
+    def __init__(self, pid: int, P: int, n: int) -> None:
+        _Shard.__init__(self, pid, P)
         self.n = n
         # vids owned here: pid, pid+P, ... — dense local slice
         self.n_owned = max(0, (n - pid + P - 1) // P) if n > pid else 0
         self.vecs: dict[str, np.ndarray] = {}
-        # forward partition (src % P == pid): local src index, global dst
-        self.f_src = np.empty(0, dtype=np.int64)
-        self.f_dst = np.empty(0, dtype=np.int64)
-        self.f_w = np.empty(0, dtype=np.float64)
-        # reverse partition (dst % P == pid): local dst index, global src
-        self.r_dst = np.empty(0, dtype=np.int64)
-        self.r_src = np.empty(0, dtype=np.int64)
-        self.r_w = np.empty(0, dtype=np.float64)
+        # side -> (local endpoint slice index, other endpoint vid, weight);
+        # "f" is homed by src, "r" by dst
+        self.edges: dict[str, tuple] = {}
 
-    def _concat(self, parts):
-        tabs = _resolve_parts(parts)
-        if not tabs:
+    def ingest(self, side: str, *parts) -> None:
+        cols = _columns(parts, "s", "d", "w")
+        if cols is None:
             e = np.empty(0, dtype=np.int64)
-            return e, e, np.empty(0, dtype=np.float64)
-        t = pa.concat_tables(tabs)
-        return (
-            t.column("s").to_numpy(zero_copy_only=False),
-            t.column("d").to_numpy(zero_copy_only=False),
-            t.column("w").to_numpy(zero_copy_only=False),
-        )
+            cols = (e, e, np.empty(0, dtype=np.float64))
+        s, d, w = cols
+        mine, other = (s, d) if side == "f" else (d, s)
+        self.edges[side] = (self._local(mine), other, w)
 
-    def ingest_forward(self, parts) -> int:
-        s, d, w = self._concat(parts)
-        self.f_src = (s - self.pid) // self.P  # s % P == pid by routing
-        self.f_dst, self.f_w = d, w
-        return len(d)
-
-    def ingest_reverse(self, parts) -> int:
-        s, d, w = self._concat(parts)
-        self.r_dst = (d - self.pid) // self.P
-        self.r_src, self.r_w = s, w
-        return len(s)
+    # -- vector init and local (exchange-free) updates -------------------
 
     def init_vec(self, name: str, value: float) -> None:
         self.vecs[name] = np.full(self.n_owned, float(value))
 
-    def _emit(self, key: np.ndarray, c: np.ndarray):
-        """Group-sum contributions c by output vid and bucket by its
-        hash: P small (v, c) tables."""
-        out = []
-        hk = key % self.P
-        for q in range(self.P):
-            sel = hk == q
-            if not sel.any():
-                out.append(None)
-                continue
-            uu, inv = np.unique(key[sel], return_inverse=True)
-            sums = np.bincount(inv, weights=c[sel])
-            out.append(pa.table({"v": uu, "c": sums}))
-        return tuple(out) if self.P > 1 else out[0]
-
-    def fwd_wave(self, src_name: str, scale: float):
-        """Partials of y[dst] += w * (scale * x[src]) over my by-src
-        edges, bucketed by dst % P."""
-        x = self.vecs[src_name]
-        xv = x[self.f_src]
-        if scale != 1.0:
-            xv = xv * scale
-        return self._emit(self.f_dst, self.f_w * xv)
-
-    def rev_wave(self, dst_name: str, scale: float):
-        """Partials of y[src] += w * (scale * x[dst]) over my by-dst
-        edges, bucketed by src % P."""
-        x = self.vecs[dst_name]
-        xv = x[self.r_dst]
-        if scale != 1.0:
-            xv = xv * scale
-        return self._emit(self.r_src, self.r_w * xv)
-
-    def combine(self, dst_name: str, parts) -> float:
-        """Sum my bucket's partials into the named slice; return the
-        slice's scalar sum (the L1-normalization input)."""
-        y = np.zeros(self.n_owned, dtype=np.float64)
-        tabs = _resolve_parts(parts)
-        if tabs:
-            t = pa.concat_tables(tabs)
-            v = t.column("v").to_numpy(zero_copy_only=False)
-            c = t.column("c").to_numpy(zero_copy_only=False)
-            np.add.at(y, (v - self.pid) // self.P, c)
-        self.vecs[dst_name] = y
-        return float(y.sum())
-
-    def axpb(self, src_name: str, alpha: float, beta: float, out_name: str):
-        """out = alpha * src + beta (the Katz update; no exchange)."""
-        self.vecs[out_name] = alpha * self.vecs[src_name] + beta
-
-    # -- min-propagation (CC / BFS / Bellman-Ford SSSP) ------------------
-
     def init_index_vec(self, name: str) -> None:
-        """x[v] = v for my owned vids (the CC singleton labelling)."""
+        """x[v] = v for my owned vids (the singleton labelling)."""
         self.vecs[name] = np.arange(
             self.pid, self.n, self.P, dtype=np.int64
         ).astype(np.float64)
@@ -229,63 +193,21 @@ class SpmvShard:
         """x = default everywhere, 0 at the seed vids homed here."""
         x = np.full(self.n_owned, float(default))
         s = np.asarray(seeds, dtype=np.int64)
-        mine = s[s % self.P == self.pid]
-        x[(mine - self.pid) // self.P] = 0.0
+        x[self._local(s[s % self.P == self.pid])] = 0.0
         self.vecs[name] = x
 
-    def _emit_min(self, key: np.ndarray, c: np.ndarray):
-        """Group-MIN contributions by output vid, bucketed by its hash."""
-        out = []
-        hk = key % self.P
-        for q in range(self.P):
-            sel = hk == q
-            if not sel.any():
-                out.append(None)
-                continue
-            uu, inv = np.unique(key[sel], return_inverse=True)
-            mins = np.full(uu.size, np.inf)
-            np.minimum.at(mins, inv, c[sel])
-            out.append(pa.table({"v": uu, "c": mins}))
-        return tuple(out) if self.P > 1 else out[0]
-
-    def min_wave(self, src_name: str, plus: str):
-        """Partials of cand[dst] = min over my by-src edges of
-        x[src] (+ w | + 1 | + 0 per `plus` in {"weight","one","zero"}).
-        Infinite sources are dropped (they can relax nothing)."""
-        x = self.vecs[src_name]
-        xv = x[self.f_src]
-        if plus == "weight":
-            xv = xv + self.f_w
-        elif plus == "one":
-            xv = xv + 1.0
-        finite = np.isfinite(xv)
-        return self._emit_min(self.f_dst[finite], xv[finite])
-
-    def combine_min(self, name: str, parts) -> int:
-        """x = min(x, partial mins); returns #strictly-improved slots
-        (the Jacobi `changed` count — partials were computed against the
-        wave-start snapshot, so this is one synchronous relaxation)."""
-        cur = self.vecs[name]
-        tabs = _resolve_parts(parts)
-        if not tabs:
-            return 0
-        t = pa.concat_tables(tabs)
-        v = t.column("v").to_numpy(zero_copy_only=False)
-        c = t.column("c").to_numpy(zero_copy_only=False)
-        new = cur.copy()
-        np.minimum.at(new, (v - self.pid) // self.P, c)
-        changed = int((new < cur).sum())
-        self.vecs[name] = new
-        return changed
-
-    # -- PageRank (power iteration, dangling redistribution) -------------
-
-    def local_weighted_outdegree(self, name: str) -> None:
-        """deg[v] = sum of w over v's out-entries — local: the by-src
-        partition holds EVERY out-edge of the vids owned here."""
+    def weighted_degree(self, name: str, side: str) -> None:
+        """deg[v] = sum of w over v's side-`side` edges — local, since
+        that partition holds every such edge of the vids homed here (on a
+        symmetric entry table both sides give the same degree)."""
+        local, _, w = self.edges[side]
         deg = np.zeros(self.n_owned, dtype=np.float64)
-        np.add.at(deg, self.f_src, self.f_w)
+        np.add.at(deg, local, w)
         self.vecs[name] = deg
+
+    def axpb(self, src_name: str, alpha: float, beta: float, out_name: str):
+        """out = alpha * src + beta (the Katz update)."""
+        self.vecs[out_name] = alpha * self.vecs[src_name] + beta
 
     def pr_prep(self, x_name: str, deg_name: str, s_name: str) -> float:
         """s = x / deg (0 where deg <= 0); returns this slice's dangling
@@ -299,83 +221,157 @@ class SpmvShard:
         return float(x[~pos].sum())
 
     def pr_finish(
-        self,
-        y_name: str,
-        x_name: str,
-        damping: float,
-        base: float,
-        want_delta: bool,
+        self, y_name: str, x_name: str, damping: float, base: float, want_delta: bool
     ) -> float:
         """x <- base + damping * y; returns the slice's L1 delta vs the
         previous x (0.0 when not requested)."""
         new = base + damping * self.vecs[y_name]
-        d = (
-            float(np.abs(new - self.vecs[x_name]).sum())
-            if want_delta
-            else 0.0
-        )
+        d = float(np.abs(new - self.vecs[x_name]).sum()) if want_delta else 0.0
         self.vecs[x_name] = new
         return d
 
-    # -- label propagation (max-weight label adoption) -------------------
+    # -- sum and min waves (HITS, Katz, PageRank, CC, BFS, SSSP) ---------
+
+    def _emit(self, key: np.ndarray, c: np.ndarray, reduce_min: bool = False):
+        """Group contributions c by output vid (sum, or min) and bucket by
+        the vid's hash: P (v, c) tables."""
+
+        def build(sel):
+            uu, inv = np.unique(key[sel], return_inverse=True)
+            if reduce_min:
+                agg = np.full(uu.size, np.inf)
+                np.minimum.at(agg, inv, c[sel])
+            else:
+                agg = np.bincount(inv, weights=c[sel])
+            return pa.table({"v": uu, "c": agg})
+
+        return _fanout(_buckets(key, self.P, build))
+
+    def sum_wave(self, name: str, scale: float, side: str):
+        """Partials of y[other] += w * (scale * x[local]) over my
+        side-`side` edges: y = A^T x on side "f", y = A x on side "r"."""
+        local, other, w = self.edges[side]
+        xv = self.vecs[name][local]
+        if scale != 1.0:
+            xv = xv * scale
+        return self._emit(other, w * xv)
+
+    def combine(self, name: str, *parts) -> float:
+        """Sum my bucket's partials into the named slice; return the
+        slice's scalar sum (the L1-normalization input)."""
+        y = np.zeros(self.n_owned, dtype=np.float64)
+        cols = _columns(parts, "v", "c")
+        if cols is not None:
+            np.add.at(y, self._local(cols[0]), cols[1])
+        self.vecs[name] = y
+        return float(y.sum())
+
+    def min_wave(self, name: str, plus: str):
+        """Partials of cand[dst] = min over my by-src edges of
+        x[src] (+ w | + 1 | + 0 per `plus` in {"weight","one","zero"}).
+        Infinite sources are dropped (they can relax nothing)."""
+        local, other, w = self.edges["f"]
+        xv = self.vecs[name][local]
+        if plus == "weight":
+            xv = xv + w
+        elif plus == "one":
+            xv = xv + 1.0
+        finite = np.isfinite(xv)
+        return self._emit(other[finite], xv[finite], reduce_min=True)
+
+    def combine_min(self, name: str, *parts) -> int:
+        """x = min(x, partial mins); returns #strictly-improved slots
+        (the Jacobi `changed` count — partials were computed against the
+        wave-start snapshot, so this is one synchronous relaxation)."""
+        cols = _columns(parts, "v", "c")
+        if cols is None:
+            return 0
+        cur = self.vecs[name]
+        new = cur.copy()
+        np.minimum.at(new, self._local(cols[0]), cols[1])
+        self.vecs[name] = new
+        return int((new < cur).sum())
+
+    # -- gathers: request vids from their owners, serve my slices --------
+
+    def _request(self, vids: np.ndarray):
+        """Distinct vids to look up, bucketed by their owner."""
+        return _fanout(_buckets(vids, self.P, lambda sel: pa.table({"l": vids[sel]})))
+
+    def _serve(self, parts, **vecs):
+        """Answer each requester's (l) table with my slices of `vecs` at
+        those vids: one response per requester, in requester order."""
+        resp = []
+        for t in parts:
+            if t is None:
+                resp.append(None)
+                continue
+            l = t.column("l").to_numpy(zero_copy_only=False)
+            idx = self._local(l)
+            resp.append(pa.table({"l": l, **{k: v[idx] for k, v in vecs.items()}}))
+        return _fanout(resp)
+
+    # -- pointer jump (CC doubling: label <- label(label)) ---------------
+
+    def jump_request(self, name: str):
+        """Distinct labels my slice points at, bucketed by their owner
+        (labels are vids, so label % P holds label's own label)."""
+        return self._request(np.unique(self.vecs[name].astype(np.int64)))
+
+    def jump_serve(self, name: str, *parts):
+        return self._serve(parts, ll=self.vecs[name])
+
+    def jump_apply(self, name: str, *parts) -> int:
+        """label <- min(label, label(label)) using the gathered map. The
+        vector is untouched between request and apply, so every label is
+        present in the map by construction."""
+        cols = _columns(parts, "l", "ll")
+        if cols is None:
+            return 0
+        order = np.argsort(cols[0])
+        l, ll = cols[0][order], cols[1][order]
+        cur = self.vecs[name]
+        new = np.minimum(cur, ll[np.searchsorted(l, cur.astype(np.int64))])
+        self.vecs[name] = new
+        return int((new < cur).sum())
+
+    # -- label propagation and Louvain: (src, label) weight partials -----
+
+    def _label_partials(self, name: str) -> list:
+        """(src, label[dst], w) over my by-dst edges with self-loops
+        dropped, group-summed per (src, label), bucketed by src % P."""
+        local, src, w = self.edges["r"]
+        keep = src != self.pid + local * self.P
+        s, l, w = src[keep], self.vecs[name][local[keep]], w[keep]
+        return _buckets(
+            s,
+            self.P,
+            lambda sel: pa.table(
+                dict(zip(("s", "l", "w"), _group_sum(s[sel], l[sel], w[sel])))
+            ),
+        )
+
+    def _label_weights(self, parts):
+        """Sum (src, label, w) partials into k: (slice index, label,
+        weight) sorted by (slice index, label); None when no partials."""
+        cols = _columns(parts, "s", "l", "w")
+        if cols is None:
+            return None
+        return _group_sum(self._local(cols[0]), cols[1], cols[2])
 
     def lpa_wave(self, name: str):
-        """Per-bucket partial neighbor-label weights over my by-dst
-        edges: contributions (src, label[dst], w) with self-loops
-        dropped, group-summed locally by (src, label)."""
-        lbl = self.vecs[name]
-        # reconstruct the global dst vid to drop self-loops
-        gdst = self.pid + self.r_dst * self.P
-        keep = self.r_src != gdst
-        s = self.r_src[keep]
-        l = lbl[self.r_dst[keep]]
-        w = self.r_w[keep]
-        out = []
-        hk = s % self.P
-        for q in range(self.P):
-            sel = hk == q
-            if not sel.any():
-                out.append(None)
-                continue
-            sq, lq, wq = s[sel], l[sel], w[sel]
-            order = np.lexsort((lq, sq))
-            sq, lq, wq = sq[order], lq[order], wq[order]
-            bnd = np.ones(len(sq), dtype=bool)
-            bnd[1:] = (sq[1:] != sq[:-1]) | (lq[1:] != lq[:-1])
-            starts = np.flatnonzero(bnd)
-            out.append(
-                pa.table(
-                    {
-                        "s": sq[starts],
-                        "l": lq[starts],
-                        "w": np.add.reduceat(wq, starts),
-                    }
-                )
-            )
-        return tuple(out) if self.P > 1 else out[0]
+        return _fanout(self._label_partials(name))
 
-    def lpa_combine(self, name: str, parts) -> int:
-        """Finish the sweep for my owned srcs: sum (src, label) partials,
-        then per src adopt the max-weight label (min label on weight
-        ties) iff strictly better than — or tied with a smaller label
-        than — the current label's own weight. Returns #adoptions (the
-        lpa.py / lpa_sweep_joined decision rule, Jacobi: `name` was
-        snapshotted by the wave before any combine mutates it)."""
-        tabs = _resolve_parts(parts)
-        if not tabs:
+    def lpa_combine(self, name: str, *parts) -> int:
+        """Finish the sweep for my owned srcs: per src adopt the max-weight
+        label (min label on weight ties) iff strictly better than — or
+        tied with a smaller label than — the current label's own weight.
+        Returns #adoptions (the algos/lpa.py decision rule, Jacobi: `name`
+        was snapshotted by the wave before any combine mutates it)."""
+        k = self._label_weights(parts)
+        if k is None:
             return 0
-        t = pa.concat_tables(tabs)
-        s = t.column("s").to_numpy(zero_copy_only=False)
-        l = t.column("l").to_numpy(zero_copy_only=False)
-        w = t.column("w").to_numpy(zero_copy_only=False)
-        si = (s - self.pid) // self.P
-        order = np.lexsort((l, si))
-        si, l, w = si[order], l[order], w[order]
-        bnd = np.ones(len(si), dtype=bool)
-        bnd[1:] = (si[1:] != si[:-1]) | (l[1:] != l[:-1])
-        starts = np.flatnonzero(bnd)
-        kw = np.add.reduceat(w, starts)
-        ks, kl = si[starts], l[starts]
+        ks, kl, kw = k
         seg_bnd = np.ones(len(ks), dtype=bool)
         seg_bnd[1:] = ks[1:] != ks[:-1]
         seg_starts = np.flatnonzero(seg_bnd)
@@ -397,150 +393,70 @@ class SpmvShard:
         lbl[seg_src[better]] = best[better]
         return int(better.sum())
 
-    # -- Louvain local-move sweep (pure Jacobi) --------------------------
+    # A Louvain sweep (pure Jacobi) over the "asn" and "deg" vectors is
+    # four stages: emit -> gather -> stats_serve -> decide.
 
-    def local_weighted_indegree(self, name: str) -> None:
-        """deg[v] = sum of w over v's entries — local on the by-dst
-        partition (the entry table is symmetric, so in-entries ==
-        out-entries per vid; self-loop weight counts once)."""
-        deg = np.zeros(self.n_owned, dtype=np.float64)
-        np.add.at(deg, self.r_dst, self.r_w)
-        self.vecs[name] = deg
+    def louvain_emit(self):
+        """From the sweep-start snapshot, per destination bucket q: my
+        partial community stats (comm, tot = sum deg, csize) for comms
+        with comm % P == q, and my (src, comm, w) neighbor-weight
+        partials for srcs with src % P == q."""
+        c = self.vecs["asn"].astype(np.int64)
+        deg = self.vecs["deg"]
 
-    def ingest_vec(self, name: str, parts, default: float) -> None:
-        """Load a sharded vector from split (v, x) tables."""
-        x = np.full(self.n_owned, float(default))
-        for t in _resolve_parts_keep_none(parts):
-            if t is None:
-                continue
-            v = t.column("v").to_numpy(zero_copy_only=False)
-            x[(v - self.pid) // self.P] = t.column("x").to_numpy(
-                zero_copy_only=False
-            )
-        self.vecs[name] = x
-
-    def stats_wave(self, asn_name: str, deg_name: str):
-        """Per-bucket partial community stats (comm, tot=sum deg,
-        csize=count) over ALL my owned vids, bucketed by comm % P."""
-        c = self.vecs[asn_name].astype(np.int64)
-        deg = self.vecs[deg_name]
-        out = []
-        hk = c % self.P
-        for q in range(self.P):
-            sel = hk == q
-            if not sel.any():
-                out.append(None)
-                continue
+        def stats(sel):
             uu, inv = np.unique(c[sel], return_inverse=True)
             tot = np.zeros(uu.size)
             np.add.at(tot, inv, deg[sel])
             csize = np.bincount(inv, minlength=uu.size)
-            out.append(
-                pa.table(
-                    {"c": uu, "t": tot, "s": csize.astype(np.int64)}
-                )
-            )
-        return tuple(out) if self.P > 1 else out[0]
+            return pa.table({"c": uu, "t": tot, "s": csize.astype(np.int64)})
 
-    def stats_combine(self, parts) -> None:
-        """Sum my bucket's stats partials into dense (tot, csize) slices
-        over my owned comm ids (comm ids ARE vids)."""
+        return _fanout(
+            list(zip(_buckets(c, self.P, stats), self._label_partials("asn")))
+        )
+
+    def louvain_gather(self, *parts):
+        """Sum my comms' stats partials into dense (tot, csize) slices
+        (comm ids are vids), sum my vertices' neighbor weights into k
+        (kept for the decide stage), and request the stats of every comm
+        k names plus my vertices' own comms."""
         tot = np.zeros(self.n_owned)
         csize = np.zeros(self.n_owned, dtype=np.int64)
-        for t in _resolve_parts_keep_none(parts):
-            if t is None:
-                continue
-            idx = (
-                t.column("c").to_numpy(zero_copy_only=False) - self.pid
-            ) // self.P
-            np.add.at(tot, idx, t.column("t").to_numpy(zero_copy_only=False))
-            np.add.at(
-                csize, idx, t.column("s").to_numpy(zero_copy_only=False)
-            )
-        self.vecs["_lv_tot"] = tot
-        self.vecs["_lv_csize"] = csize.astype(np.float64)
-
-    def louvain_k_combine(self, asn_name: str, parts):
-        """Sum my bucket's (src, comm, w) partials into the per-vertex
-        neighbor-community weight table k (kept as actor state for the
-        decide step) and return per-bucket distinct-comm stat requests
-        (candidate comms plus my vertices' own comms)."""
-        tabs = _resolve_parts(parts)
-        if tabs:
-            t = pa.concat_tables(tabs)
-            s = t.column("s").to_numpy(zero_copy_only=False)
-            l = t.column("l").to_numpy(zero_copy_only=False)
-            w = t.column("w").to_numpy(zero_copy_only=False)
-            si = (s - self.pid) // self.P
-            order = np.lexsort((l, si))
-            si, l, w = si[order], l[order], w[order]
-            bnd = np.ones(len(si), dtype=bool)
-            bnd[1:] = (si[1:] != si[:-1]) | (l[1:] != l[:-1])
-            starts = np.flatnonzero(bnd)
-            self._lv_k = (
-                si[starts],
-                l[starts].astype(np.int64),
-                np.add.reduceat(w, starts),
-            )
-        else:
+        cols = _columns([p[0] for p in parts], "c", "t", "s")
+        if cols is not None:
+            idx = self._local(cols[0])
+            np.add.at(tot, idx, cols[1])
+            np.add.at(csize, idx, cols[2])
+        self._lv_tot = tot
+        self._lv_csize = csize.astype(np.float64)
+        k = self._label_weights([p[1] for p in parts])
+        if k is None:
             e = np.empty(0, dtype=np.int64)
-            self._lv_k = (e, e, np.empty(0))
-        req = np.unique(
-            np.concatenate(
-                [self._lv_k[1], self.vecs[asn_name].astype(np.int64)]
-            )
+            k = (e, e, np.empty(0))
+        self._lv_k = (k[0], k[1].astype(np.int64), k[2])
+        return self._request(
+            np.unique(np.concatenate([self._lv_k[1], self.vecs["asn"].astype(np.int64)]))
         )
-        out = []
-        hk = req % self.P
-        for q in range(self.P):
-            sel = req[hk == q]
-            out.append(pa.table({"l": sel}) if sel.size else None)
-        return tuple(out) if self.P > 1 else out[0]
 
-    def stats_serve(self, parts):
-        """Answer each requester's bucket with (c, tot, csize) from my
-        combined stats slices — one response table per requester."""
-        tot = self.vecs["_lv_tot"]
-        csize = self.vecs["_lv_csize"]
-        resp = []
-        for t in _resolve_parts_keep_none(parts):
-            if t is None:
-                resp.append(None)
-                continue
-            c = t.column("l").to_numpy(zero_copy_only=False)
-            idx = (c - self.pid) // self.P
-            resp.append(
-                pa.table({"c": c, "t": tot[idx], "s": csize[idx]})
-            )
-        return tuple(resp) if self.P > 1 else resp[0]
+    def stats_serve(self, *parts):
+        return self._serve(parts, t=self._lv_tot, s=self._lv_csize)
 
-    def louvain_decide(
-        self, asn_name: str, deg_name: str, m2: float, parts
-    ) -> int:
+    def louvain_decide(self, m2: float, *parts) -> int:
         """Finish the sweep for my owned vertices: the
         chunked_local_move_sweep decision against the snapshot stats —
         gain = kw - tot_c * (dv / m2) per candidate comm, argmax with the
         min-comm tie-break, remove-before-gain own threshold
         max(k_own - (tot_own - dv) * dv / m2, 0), singleton-swap guard.
         Mutates the assignment slice; returns #moves."""
-        tabs = _resolve_parts(parts)
         si, c, kw = self._lv_k
         del self._lv_k
         if si.size == 0:
             return 0
-        carr = np.concatenate(
-            [t.column("c").to_numpy(zero_copy_only=False) for t in tabs]
-        )
-        tarr = np.concatenate(
-            [t.column("t").to_numpy(zero_copy_only=False) for t in tabs]
-        )
-        sarr = np.concatenate(
-            [t.column("s").to_numpy(zero_copy_only=False) for t in tabs]
-        )
+        carr, tarr, sarr = _columns(parts, "l", "t", "s")
         order = np.argsort(carr)
         carr, tarr, sarr = carr[order], tarr[order], sarr[order]
-        asn = self.vecs[asn_name]
-        deg = self.vecs[deg_name]
+        asn = self.vecs["asn"]
+        deg = self.vecs["deg"]
         # pairs are sorted by (si, c); segment = one vertex
         seg_bnd = np.ones(len(si), dtype=bool)
         seg_bnd[1:] = si[1:] != si[:-1]
@@ -579,76 +495,6 @@ class SpmvShard:
         asn[seg_si[accept]] = best[accept].astype(np.float64)
         return int(accept.sum())
 
-    # -- P==1 fusions: the identical wave methods chained inside ONE
-    # actor call (partials passed as plain tables — no exchange, no
-    # object-store round trips; a P=1 sweep was 6 RPCs of pure latency)
-
-    def louvain_sweep_fused(self, m2: float) -> int:
-        sp = self.stats_wave("asn", "deg")
-        self.stats_combine([sp])
-        kp = self.lpa_wave("asn")
-        req = self.louvain_k_combine("asn", [kp])
-        resp = self.stats_serve([req])
-        return self.louvain_decide("asn", "deg", m2, [resp])
-
-    def lpa_sweep_fused(self, name: str) -> int:
-        return self.lpa_combine(name, [self.lpa_wave(name)])
-
-    def min_fwd_fused(self, name: str, plus: str) -> int:
-        return self.combine_min(name, [self.min_wave(name, plus)])
-
-    def pointer_jump_fused(self, name: str) -> int:
-        req = self.jump_request(name)
-        resp = self.jump_serve(name, [req])
-        return self.jump_apply(name, [resp])
-
-    # -- pointer-jump gather (CC doubling: label <- label(label)) --------
-
-    def jump_request(self, name: str):
-        """Distinct label values my slice points at, bucketed by the
-        OWNER's hash (labels are vids, so label % P owns label's label)."""
-        lbl = self.vecs[name].astype(np.int64)
-        uu = np.unique(lbl)
-        out = []
-        hk = uu % self.P
-        for q in range(self.P):
-            sel = uu[hk == q]
-            out.append(pa.table({"l": sel}) if sel.size else None)
-        return tuple(out) if self.P > 1 else out[0]
-
-    def jump_serve(self, name: str, parts):
-        """Answer each requester's bucket with (l, label[l]) pairs from
-        my slice — one response table per requester."""
-        lbl = self.vecs[name]
-        resp = []
-        for t in _resolve_parts_keep_none(parts):
-            if t is None:
-                resp.append(None)
-                continue
-            l = t.column("l").to_numpy(zero_copy_only=False)
-            ll = lbl[(l - self.pid) // self.P]
-            resp.append(pa.table({"l": l, "ll": ll}))
-        return tuple(resp) if self.P > 1 else resp[0]
-
-    def jump_apply(self, name: str, parts) -> int:
-        """label <- min(label, label(label)) using the gathered map. The
-        vector is untouched between request and apply, so every label is
-        present in the map by construction."""
-        tabs = _resolve_parts(parts)
-        if not tabs:
-            return 0
-        t = pa.concat_tables(tabs)
-        l = t.column("l").to_numpy(zero_copy_only=False)
-        ll = t.column("ll").to_numpy(zero_copy_only=False)
-        order = np.argsort(l)
-        l, ll = l[order], ll[order]
-        cur = self.vecs[name]
-        mapped = ll[np.searchsorted(l, cur.astype(np.int64))]
-        new = np.minimum(cur, mapped)
-        changed = int((new < cur).sum())
-        self.vecs[name] = new
-        return changed
-
     def collect(self, spec: list[tuple]) -> pa.Table:
         """My slice as (vid, *cols): spec entries are (vec_name, scale,
         col) for float64 output or (vec_name, scale, col, "i8") to cast
@@ -665,71 +511,109 @@ class SpmvShard:
         return pa.table(cols)
 
 
+@ray.remote
+class PeelShard(_Shard):
+    """One v-partition of the undirected spoke table plus the survivor
+    set of the vids homed here (same hash), so the prune of my spokes
+    needs only my own survivors.
+
+    Round semantics are bit-identical to `algos.kcore.kcore_bounded`
+    (Jacobi: round r keeps vertices with >= k neighbors alive in round
+    r-1's set; round 0's set = every edge-incident vertex). Dead vertices
+    stay dead WITHOUT an explicit alive intersection: survivor sets shrink
+    monotonically, so a vertex removed at round s has deg_r <= deg_s < k
+    for every later r."""
+
+    def __init__(self, pid: int, P: int, k: int) -> None:
+        _Shard.__init__(self, pid, P)
+        self.k = int(k)
+        self.u = np.empty(0, dtype=np.int64)
+        self.v = np.empty(0, dtype=np.int64)
+        # None = "every vid is alive" (the round-0 state: prune is a no-op)
+        self.surv: np.ndarray | None = None
+
+    def ingest(self, side: str, *parts) -> None:
+        """Keep the distinct (u, v) spokes of my bucket — the undirected
+        distinct-edge semantics of kcore's `undirected_dedup` (every copy
+        of a pair lands here by construction)."""
+        cols = _columns(parts, "s", "d")
+        if cols is not None:
+            self.u, self.v, _ = _group_sum(cols[0], cols[1], np.zeros(len(cols[0])))
+
+    def count_wave(self):
+        """Prune my spokes by my own survivor set, then emit per-bucket
+        partial degree counts keyed by u % P."""
+        if self.surv is not None:
+            if self.surv.size == 0:
+                self.u = self.u[:0]
+                self.v = self.v[:0]
+            else:
+                idx = np.searchsorted(self.surv, self.v)
+                idx[idx >= self.surv.size] = 0
+                keep = self.surv[idx] == self.v
+                self.u, self.v = self.u[keep], self.v[keep]
+
+        def counts(sel):
+            uu, cc = np.unique(self.u[sel], return_counts=True)
+            return pa.table({"u": uu, "c": cc.astype(np.int64)})
+
+        return _fanout(_buckets(self.u, self.P, counts))
+
+    def combine_wave(self, thresh: int | None, *parts) -> tuple[int, int]:
+        """Sum my bucket's partials; survivors = {u: deg >= thresh}
+        (thresh None means k; a rounds<1 peel passes 1 to recover round
+        0's edge-incident set). Returns (#vids with any live spoke,
+        #survivors) — the first is round 0's alive count on the first
+        call."""
+        cols = _columns(parts, "u", "c")
+        if cols is None:
+            self.surv = np.empty(0, dtype=np.int64)
+            return 0, 0
+        u, c = cols
+        uu = np.unique(u)
+        deg = np.zeros(uu.size, dtype=np.int64)
+        np.add.at(deg, np.searchsorted(uu, u), c)
+        self.surv = uu[deg >= (self.k if thresh is None else thresh)]
+        return int(uu.size), int(self.surv.size)
+
+    def survivors_table(self) -> pa.Table:
+        surv = self.surv if self.surv is not None else np.empty(0, np.int64)
+        return pa.table({"vid": surv.astype(np.int64)})
+
+
 class SpmvPool:
-    """Driver-side handle: builds the actors, ingests the edge
-    partitions, exposes the wave/combine protocol plus collection into a
-    Dataset. Callers must `shutdown()` (or use as a context manager)."""
+    """Driver-side handle over P shard actors (`shard`, built as
+    `shard.remote(pid, P, *shard_args)`). Starting the pool scatters the
+    edge table once, one split per entry of `sides` ("f" by src, "r" by
+    dst, "u" as undirected spokes); every round after that is one
+    `exchange`. Use it as a context manager: the actors die on exit, so
+    drivers collect their output inside the block."""
 
     def __init__(
         self,
         edges: ray.data.Dataset,
-        n: int,
+        shard,
+        *shard_args,
+        sides: tuple[str, ...] = ("f",),
         src_col: str = "src",
         dst_col: str = "dst",
         weight_col: str | None = None,
         partitions: int | None = None,
-        need_reverse: bool = False,
-        need_forward: bool = True,
     ) -> None:
         eds = edges.materialize()
-        n_input = eds.count()  # metadata-only on a materialized dataset
-        if partitions is not None:
-            P = max(1, int(partitions))
-        else:
-            cpus = (
-                int(ray.cluster_resources().get("CPU", 8))
-                if ray.is_initialized()
-                else 8
-            )
-            # ~500k edges per actor; never more actors than CPUs//2
-            P = max(1, min(cpus // 2 or 1, n_input // 500_000 + 1))
-        self.P = P
-        self.n = n
-        self.actors = [SpmvShard.remote(p, P, n) for p in range(P)]
-        block_refs = []
-        for rb in eds.iter_internal_ref_bundles():
-            block_refs.extend(r for r, _ in rb.blocks)
-        waves = []
-        if need_forward:
-            waves.append(
-                self._ingest(block_refs, src_col, dst_col, weight_col, False)
-            )
-        if need_reverse:
-            waves.append(
-                self._ingest(block_refs, src_col, dst_col, weight_col, True)
-            )
-        for w in waves:
-            ray.get(w)
-
-    def _ingest(self, block_refs, src_col, dst_col, weight_col, reverse):
-        P = self.P
-        method = "ingest_reverse" if reverse else "ingest_forward"
-        if P > 1:
-            splits = [
-                _split_edges.options(num_returns=P).remote(
-                    br, P, src_col, dst_col, weight_col, reverse
-                )
-                for br in block_refs
-            ]
-            return [
-                getattr(self.actors[p], method).remote([s[p] for s in splits])
-                for p in range(P)
-            ]
-        splits = [
-            _split_edges.remote(br, P, src_col, dst_col, weight_col, reverse)
-            for br in block_refs
-        ]
-        return [getattr(self.actors[0], method).remote(splits)]
+        # undirected spokes are two partitioned rows per input edge
+        rows = eds.count() * (2 if "u" in sides else 1)
+        P = self.P = _pool_size(rows, partitions)
+        self.actors = [shard.remote(p, P, *shard_args) for p in range(P)]
+        blocks = [r for rb in eds.iter_internal_ref_bundles() for r, _ in rb.blocks]
+        try:
+            for side in sides:
+                split = (side, src_col, dst_col, weight_col)
+                feed = [_remote_buckets(_split_edges, P, b, P, *split) for b in blocks]
+                self.exchange(("ingest", side), feed=feed)
+        except BaseException:
+            self.shutdown()
+            raise
 
     def __enter__(self):
         return self
@@ -737,208 +621,34 @@ class SpmvPool:
     def __exit__(self, *exc):
         self.shutdown()
 
-    def init_vec(self, name: str, value: float) -> None:
-        ray.get([a.init_vec.remote(name, value) for a in self.actors])
-
-    def _wave(self, method: str, src_name: str, scale: float, dst_name: str):
+    def exchange(self, *stages: tuple, feed: list = ()) -> list:
+        """Run one BSP chain; a stage is (actor method, *args). Every
+        stage but the last returns P buckets, and bucket q from every
+        sender becomes trailing arguments of the next stage on actor q.
+        `feed` optionally holds the first stage's inbound buckets: one
+        list of P refs per sender. Returns the last stage's per-actor
+        results."""
         P = self.P
-        if P > 1:
-            partials = [
-                getattr(a, method)
-                .options(num_returns=P)
-                .remote(src_name, scale)
-                for a in self.actors
-            ]
-            sums = ray.get(
-                [
-                    self.actors[q].combine.remote(
-                        dst_name, [partials[p][q] for p in range(P)]
-                    )
-                    for q in range(P)
-                ]
+        if P == 1:
+            return ray.get(
+                [self.actors[0].chain.remote(stages, *(out[0] for out in feed))]
             )
-        else:
-            partial = getattr(self.actors[0], method).remote(src_name, scale)
-            sums = ray.get([self.actors[0].combine.remote(dst_name, [partial])])
-        return float(sum(sums))
-
-    def fwd(self, src_name: str, dst_name: str, scale: float = 1.0) -> float:
-        """y[dst] = sum_src w * (scale * x[src]); returns sum(y)."""
-        return self._wave("fwd_wave", src_name, scale, dst_name)
-
-    def rev(self, dst_name: str, out_name: str, scale: float = 1.0) -> float:
-        """y[src] = sum_dst w * (scale * x[dst]); returns sum(y)."""
-        return self._wave("rev_wave", dst_name, scale, out_name)
-
-    def axpb(
-        self, src_name: str, alpha: float, beta: float, out_name: str
-    ) -> None:
-        ray.get(
-            [a.axpb.remote(src_name, alpha, beta, out_name) for a in self.actors]
-        )
-
-    def init_index_vec(self, name: str) -> None:
-        ray.get([a.init_index_vec.remote(name) for a in self.actors])
-
-    def init_seed_vec(self, name: str, seeds, default: float) -> None:
-        s = np.asarray(seeds, dtype=np.int64)
-        ray.get(
-            [a.init_seed_vec.remote(name, s, default) for a in self.actors]
-        )
-
-    def min_fwd(self, name: str, plus: str = "zero") -> int:
-        """One synchronous min-relaxation wave over the by-src edges;
-        returns the number of strictly-improved vector slots."""
-        P = self.P
-        if P > 1:
-            partials = [
-                a.min_wave.options(num_returns=P).remote(name, plus)
-                for a in self.actors
-            ]
-            changed = ray.get(
-                [
-                    self.actors[q].combine_min.remote(
-                        name, [partials[p][q] for p in range(P)]
-                    )
-                    for q in range(P)
-                ]
-            )
-        else:
-            changed = ray.get([self.actors[0].min_fwd_fused.remote(name, plus)])
-        return int(sum(changed))
-
-    def load_vec(
-        self,
-        ds: ray.data.Dataset,
-        name: str,
-        vid_col: str,
-        val_col: str,
-        default: float = 0.0,
-    ) -> None:
-        """Scatter a (vid, value) Dataset into the sharded vector."""
-        P = self.P
-        eds = ds.materialize()
-        block_refs = []
-        for rb in eds.iter_internal_ref_bundles():
-            block_refs.extend(r for r, _ in rb.blocks)
-        if P > 1:
-            splits = [
-                _split_vec.options(num_returns=P).remote(
-                    br, P, vid_col, val_col
+        inbound = list(feed)
+        for i, (method, *args) in enumerate(stages):
+            last = i == len(stages) - 1
+            sent = []
+            for q, actor in enumerate(self.actors):
+                call = getattr(actor, method)
+                mine = [out[q] for out in inbound]
+                sent.append(
+                    call.remote(*args, *mine)
+                    if last
+                    else _remote_buckets(call, P, *args, *mine)
                 )
-                for br in block_refs
-            ]
-            ray.get(
-                [
-                    self.actors[p].ingest_vec.remote(
-                        name, [s[p] for s in splits], default
-                    )
-                    for p in range(P)
-                ]
-            )
-        else:
-            splits = [
-                _split_vec.remote(br, P, vid_col, val_col)
-                for br in block_refs
-            ]
-            ray.get([self.actors[0].ingest_vec.remote(name, splits, default)])
+            inbound = sent
+        return ray.get(inbound)
 
-    def louvain_sweep(self, m2: float) -> int:
-        """One pure-Jacobi local-move sweep over the sharded assignment
-        ("asn") + degree ("deg") vectors: stats wave and neighbor-weight
-        wave (both from the sweep-start snapshot, launched concurrently),
-        a distinct-comm stats gather, then the local decide. Returns the
-        move count."""
-        P = self.P
-        A = self.actors
-        if P > 1:
-            stats_p = [
-                a.stats_wave.options(num_returns=P).remote("asn", "deg")
-                for a in A
-            ]
-            k_p = [
-                a.lpa_wave.options(num_returns=P).remote("asn") for a in A
-            ]
-            stats_c = [
-                A[q].stats_combine.remote([stats_p[p][q] for p in range(P)])
-                for q in range(P)
-            ]
-            reqs = [
-                A[p]
-                .louvain_k_combine.options(num_returns=P)
-                .remote("asn", [k_p[q2][p] for q2 in range(P)])
-                for p in range(P)
-            ]
-            ray.get(stats_c)
-            resp = [
-                A[q]
-                .stats_serve.options(num_returns=P)
-                .remote([reqs[p][q] for p in range(P)])
-                for q in range(P)
-            ]
-            moves = ray.get(
-                [
-                    A[p].louvain_decide.remote(
-                        "asn", "deg", m2, [resp[q][p] for q in range(P)]
-                    )
-                    for p in range(P)
-                ]
-            )
-        else:
-            # one fused actor call — the 6-RPC wave chain is pure
-            # latency when there is no one to exchange with
-            moves = ray.get([A[0].louvain_sweep_fused.remote(m2)])
-        return int(sum(moves))
-
-    def lpa_sweep(self, name: str) -> int:
-        """One synchronous LPA sweep over the by-dst edges; returns the
-        number of label adoptions."""
-        P = self.P
-        if P > 1:
-            partials = [
-                a.lpa_wave.options(num_returns=P).remote(name)
-                for a in self.actors
-            ]
-            changed = ray.get(
-                [
-                    self.actors[q].lpa_combine.remote(
-                        name, [partials[p][q] for p in range(P)]
-                    )
-                    for q in range(P)
-                ]
-            )
-        else:
-            changed = ray.get([self.actors[0].lpa_sweep_fused.remote(name)])
-        return int(sum(changed))
-
-    def pointer_jump(self, name: str) -> int:
-        """label <- min(label, label(label)) across the pool: a request /
-        serve / apply gather (3 RPC waves of tiny distinct-label tables)."""
-        P = self.P
-        if P > 1:
-            reqs = [
-                a.jump_request.options(num_returns=P).remote(name)
-                for a in self.actors
-            ]
-            resps = [
-                self.actors[q]
-                .jump_serve.options(num_returns=P)
-                .remote(name, [reqs[p][q] for p in range(P)])
-                for q in range(P)
-            ]
-            changed = ray.get(
-                [
-                    self.actors[p].jump_apply.remote(
-                        name, [resps[q][p] for q in range(P)]
-                    )
-                    for p in range(P)
-                ]
-            )
-        else:
-            changed = ray.get([self.actors[0].pointer_jump_fused.remote(name)])
-        return int(sum(changed))
-
-    def collect(self, spec: list[tuple[str, float, str]]) -> ray.data.Dataset:
+    def collect(self, spec: list[tuple]) -> ray.data.Dataset:
         """Gather the named slices into a (vid, *cols) Dataset. Blocks are
         materialized before the pool dies (from_arrow_refs blocks live in
         the owning actor's object-store lifetime)."""
@@ -960,37 +670,35 @@ def hits_partitioned(
     weight_col: str | None = None,
     partitions: int | None = None,
 ) -> tuple[ray.data.Dataset, dict]:
-    """HITS on the BSP SpMV pool — semantics identical to
-    `algos.hits.hits` / the r4 all-Dataset hits_joined (fixed-iteration
+    """HITS — semantics identical to `algos.hits.hits` (fixed-iteration
     L1-normalized half-steps over the DIRECTED edge table, sum>0 guard).
     Normalization is folded into the next wave's input scale, so stored
     vectors stay raw; the driver sees only P floats per half-step."""
     if iters < 1:
         raise ValueError(f"hits_partitioned: iters must be >= 1, got {iters}")
-    pool = SpmvPool(
-        edges,
-        n,
-        src_col=src_col,
-        dst_col=dst_col,
-        weight_col=weight_col,
-        partitions=partitions,
-        need_reverse=True,
-    )
-    try:
-        pool.init_vec("hub", 1.0)
-        hub_name, inv_h = "hub", 1.0
-        inv_a = 1.0
+    with SpmvPool(
+        edges, SpmvShard, n, sides=("f", "r"), src_col=src_col,
+        dst_col=dst_col, weight_col=weight_col, partitions=partitions,
+    ) as pool:
+        pool.exchange(("init_vec", "hub", 1.0))
+        hub_name, inv_h, inv_a = "hub", 1.0, 1.0
         for _ in range(iters):
-            s_a = pool.fwd(hub_name, "auth_raw", scale=inv_h)
+            s_a = sum(
+                pool.exchange(
+                    ("sum_wave", hub_name, inv_h, "f"), ("combine", "auth_raw")
+                )
+            )
             inv_a = 1.0 / s_a if s_a > 0 else 1.0
-            s_h = pool.rev("auth_raw", "hub_raw", scale=inv_a)
+            s_h = sum(
+                pool.exchange(
+                    ("sum_wave", "auth_raw", inv_a, "r"), ("combine", "hub_raw")
+                )
+            )
             inv_h = 1.0 / s_h if s_h > 0 else 1.0
             hub_name = "hub_raw"
         out = pool.collect(
             [("hub_raw", inv_h, "hub"), ("auth_raw", inv_a, "authority")]
         )
-    finally:
-        pool.shutdown()
     return out, {"iterations": iters}
 
 
@@ -1005,157 +713,19 @@ def katz_partitioned(
     weight_col: str | None = None,
     partitions: int | None = None,
 ) -> tuple[ray.data.Dataset, dict]:
-    """Katz centrality on the BSP SpMV pool — the same truncated power
-    series as `algos.pagerank.katz_centrality` / the r4 all-Dataset
-    katz_joined: x_k = alpha * A^T x_{k-1} + beta, x_0 = beta."""
-    pool = SpmvPool(
-        edges,
-        n,
-        src_col=src_col,
-        dst_col=dst_col,
-        weight_col=weight_col,
-        partitions=partitions,
-        need_reverse=False,
-    )
-    try:
-        pool.init_vec("x", beta)
+    """Katz centrality — the same truncated power series as
+    `algos.pagerank.katz_centrality`: x_k = alpha * A^T x_{k-1} + beta,
+    x_0 = beta."""
+    with SpmvPool(
+        edges, SpmvShard, n, src_col=src_col, dst_col=dst_col,
+        weight_col=weight_col, partitions=partitions,
+    ) as pool:
+        pool.exchange(("init_vec", "x", beta))
         for _ in range(iters):
-            pool.fwd("x", "y", scale=1.0)
-            pool.axpb("y", alpha, beta, "x")
+            pool.exchange(("sum_wave", "x", 1.0, "f"), ("combine", "y"))
+            pool.exchange(("axpb", "y", alpha, beta, "x"))
         out = pool.collect([("x", 1.0, "katz")])
-    finally:
-        pool.shutdown()
     return out, {"iterations": iters}
-
-
-def cc_partitioned(
-    edges: ray.data.Dataset,
-    n: int,
-    max_rounds: int = 200,
-    src_col: str = "src",
-    dst_col: str = "dst",
-    partitions: int | None = None,
-    pointer_doubling_after: int | None = 2,
-) -> tuple[ray.data.Dataset, dict]:
-    """Min-label connected components on the BSP SpMV pool — same
-    semantics as the r4 all-Dataset connected_components_joined (labels
-    init to own vid; one synchronous neighbor-min relaxation per round;
-    from round `pointer_doubling_after` on, each round is chased with a
-    pointer jump label <- label(label), dropping O(diameter) rounds to
-    O(log diameter) on chain-shaped components). Converged labels are
-    the unique min-vid-per-component fixpoint either way. `edges` must
-    be symmetrized (both directions present)."""
-    pool = SpmvPool(
-        edges,
-        n,
-        src_col=src_col,
-        dst_col=dst_col,
-        weight_col=None,
-        partitions=partitions,
-        need_reverse=False,
-    )
-    try:
-        pool.init_index_vec("lbl")
-        rounds = jumps = 0
-        while rounds < max_rounds:
-            changed = pool.min_fwd("lbl", plus="zero")
-            rounds += 1
-            if changed == 0:
-                break
-            if (
-                pointer_doubling_after is not None
-                and rounds >= pointer_doubling_after
-            ):
-                pool.pointer_jump("lbl")
-                jumps += 1
-        out = pool.collect([("lbl", 1.0, "label", "i8")])
-    finally:
-        pool.shutdown()
-    return out, {"rounds": rounds, "jumps": jumps}
-
-
-def sssp_partitioned(
-    edges: ray.data.Dataset,
-    n: int,
-    seeds,
-    hops: int,
-    src_col: str = "src",
-    dst_col: str = "dst",
-    weight_col: str = "weight",
-    partitions: int | None = None,
-) -> tuple[ray.data.Dataset, dict]:
-    """Hop-bounded Bellman-Ford on the BSP SpMV pool — same semantics as
-    the r4 all-Dataset sssp_joined (dist after round r = cheapest path
-    using AT MOST r edges; exactly one synchronous Jacobi relaxation per
-    round, early exit at the fixpoint; unreachable keeps +inf). `edges`
-    must be symmetrized for undirected distances."""
-    pool = SpmvPool(
-        edges,
-        n,
-        src_col=src_col,
-        dst_col=dst_col,
-        weight_col=weight_col,
-        partitions=partitions,
-        need_reverse=False,
-    )
-    try:
-        pool.init_seed_vec("dist", seeds, default=np.inf)
-        rounds = 0
-        for _ in range(hops):
-            changed = pool.min_fwd("dist", plus="weight")
-            rounds += 1
-            if changed == 0:
-                break
-        out = pool.collect([("dist", 1.0, "dist")])
-    finally:
-        pool.shutdown()
-    return out, {"hops": hops, "rounds": rounds}
-
-
-class LouvainLevel:
-    """One Louvain level on the BSP SpMV pool: the assignment and degree
-    vectors live sharded across the actors for the whole level, so a
-    multi-sweep loop pays the edge ingest exactly once. Sweep semantics
-    are `chunked_local_move_sweep(chunk=n)` — the same pure-Jacobi
-    decision (fresh snapshot stats per sweep, gain argmax with min-comm
-    tie-break, remove-before-gain threshold, singleton-swap guard) the
-    all-Dataset louvain_sweep_joined implemented, bit-for-bit on
-    integer-weight graphs. `edges` must be symmetrized deduped entries."""
-
-    def __init__(
-        self,
-        edges: ray.data.Dataset,
-        n: int,
-        weight_col: str = "weight",
-        partitions: int | None = None,
-    ) -> None:
-        self.pool = SpmvPool(
-            edges,
-            n,
-            weight_col=weight_col,
-            partitions=partitions,
-            need_reverse=True,
-            need_forward=False,  # all sweep reads happen at the dst side
-        )
-        ray.get(
-            [
-                a.local_weighted_indegree.remote("deg")
-                for a in self.pool.actors
-            ]
-        )
-        self.pool.init_index_vec("asn")  # reference singleton init
-
-    def load_assign(self, assign: ray.data.Dataset) -> None:
-        self.pool.load_vec(assign, "asn", "vid", "comm")
-
-    def sweep(self, m2: float) -> int:
-        return self.pool.louvain_sweep(m2)
-
-    def assign_dataset(self) -> ray.data.Dataset:
-        return self.pool.collect([("asn", 1.0, "comm", "i8")])
-
-    def shutdown(self) -> None:
-        self.pool.shutdown()
 
 
 def pagerank_partitioned(
@@ -1169,48 +739,27 @@ def pagerank_partitioned(
     weight_col: str = "weight",
     partitions: int | None = None,
 ) -> tuple[ray.data.Dataset, dict]:
-    """PageRank power iteration on the BSP SpMV pool — same published
-    semantics as `algos.pagerank.pagerank` / the r4 all-Dataset
-    pagerank_joined (uniform init, rank/deg scaling with the weighted
-    degree, dangling mass redistributed uniformly, `tol <= 0` = fixed
-    iteration count). One iteration = a local prep (scale + dangling
-    mass), one exchange wave, a local affine finish — the driver sums
-    2P floats. `edges` must be symmetrized."""
-    pool = SpmvPool(
-        edges,
-        n,
-        src_col=src_col,
-        dst_col=dst_col,
-        weight_col=weight_col,
-        partitions=partitions,
-        need_reverse=False,
-    )
-    try:
-        ray.get(
-            [a.local_weighted_outdegree.remote("deg") for a in pool.actors]
-        )
-        pool.init_vec("x", 1.0 / n)
+    """PageRank power iteration — same published semantics as
+    `algos.pagerank.pagerank` (uniform init, rank/deg scaling with the
+    weighted degree, dangling mass redistributed uniformly, `tol <= 0` =
+    fixed iteration count). One iteration = a local prep (scale +
+    dangling mass), one exchange wave, a local affine finish — the driver
+    sums 2P floats. `edges` must be symmetrized."""
+    with SpmvPool(
+        edges, SpmvShard, n, src_col=src_col, dst_col=dst_col,
+        weight_col=weight_col, partitions=partitions,
+    ) as pool:
+        pool.exchange(("weighted_degree", "deg", "f"))
+        pool.exchange(("init_vec", "x", 1.0 / n))
         compute_delta = tol > 0
         delta = np.inf
         iters = 0
         for it in range(max_iter):
-            dm = float(
-                sum(
-                    ray.get(
-                        [
-                            a.pr_prep.remote("x", "deg", "s")
-                            for a in pool.actors
-                        ]
-                    )
-                )
-            )
-            pool.fwd("s", "y", scale=1.0)
+            dm = float(sum(pool.exchange(("pr_prep", "x", "deg", "s"))))
+            pool.exchange(("sum_wave", "s", 1.0, "f"), ("combine", "y"))
             base = (1.0 - damping) / n + damping * dm / n
-            deltas = ray.get(
-                [
-                    a.pr_finish.remote("y", "x", damping, base, compute_delta)
-                    for a in pool.actors
-                ]
+            deltas = pool.exchange(
+                ("pr_finish", "y", "x", damping, base, compute_delta)
             )
             iters = it + 1
             if compute_delta:
@@ -1218,49 +767,84 @@ def pagerank_partitioned(
                 if delta < tol:
                     break
         out = pool.collect([("x", 1.0, "rank")])
-    finally:
-        pool.shutdown()
     return out, {"iterations": iters, "l1_delta": delta}
 
 
-def lpa_partitioned(
+def cc_partitioned(
     edges: ray.data.Dataset,
     n: int,
-    max_sweeps: int = 25,
+    max_rounds: int = 200,
+    src_col: str = "src",
+    dst_col: str = "dst",
+    partitions: int | None = None,
+    pointer_doubling_after: int | None = 2,
+) -> tuple[ray.data.Dataset, dict]:
+    """Min-label connected components: labels init to own vid, one
+    synchronous neighbor-min relaxation per round, and from round
+    `pointer_doubling_after` on each round is chased with a pointer jump
+    label <- label(label), dropping O(diameter) rounds to O(log diameter)
+    on chain-shaped components (None disables). Converged labels are the
+    unique min-vid-per-component fixpoint either way. `edges` must be
+    symmetrized (both directions present)."""
+    with SpmvPool(
+        edges, SpmvShard, n, src_col=src_col, dst_col=dst_col,
+        partitions=partitions,
+    ) as pool:
+        pool.exchange(("init_index_vec", "lbl"))
+        rounds = jumps = 0
+        while rounds < max_rounds:
+            changed = sum(
+                pool.exchange(("min_wave", "lbl", "zero"), ("combine_min", "lbl"))
+            )
+            rounds += 1
+            if changed == 0:
+                break
+            if (
+                pointer_doubling_after is not None
+                and rounds >= pointer_doubling_after
+            ):
+                pool.exchange(
+                    ("jump_request", "lbl"),
+                    ("jump_serve", "lbl"),
+                    ("jump_apply", "lbl"),
+                )
+                jumps += 1
+        out = pool.collect([("lbl", 1.0, "label", "i8")])
+    return out, {"rounds": rounds, "jumps": jumps}
+
+
+def sssp_partitioned(
+    edges: ray.data.Dataset,
+    n: int,
+    seeds,
+    hops: int,
     src_col: str = "src",
     dst_col: str = "dst",
     weight_col: str = "weight",
     partitions: int | None = None,
 ) -> tuple[ray.data.Dataset, dict]:
-    """Label propagation on the BSP SpMV pool — singleton init, then
-    synchronous sweeps with the lpa.py decision rule (adopt the
-    max-incident-weight neighbor label; keep current unless strictly
-    better, or tied with a smaller label; self-loops ignored). Hub skew
-    needs no salting here: a hub's per-label sums are pre-combined on
-    each source partition before the exchange. `edges` must be
-    symmetrized."""
-    pool = SpmvPool(
-        edges,
-        n,
-        src_col=src_col,
-        dst_col=dst_col,
-        weight_col=weight_col,
-        partitions=partitions,
-        need_reverse=True,
-        need_forward=False,  # LPA reads labels at the dst side only
-    )
-    try:
-        pool.init_index_vec("lbl")
-        sweeps = 0
-        for _ in range(max_sweeps):
-            changed = pool.lpa_sweep("lbl")
-            sweeps += 1
+    """Hop-bounded Bellman-Ford — the `algos.bfs.sssp_hops` semantics
+    (dist after round r = cheapest path using AT MOST r edges; exactly
+    one synchronous Jacobi relaxation per round, early exit at the
+    fixpoint; unreachable keeps +inf). `edges` must be symmetrized for
+    undirected distances."""
+    with SpmvPool(
+        edges, SpmvShard, n, src_col=src_col, dst_col=dst_col,
+        weight_col=weight_col, partitions=partitions,
+    ) as pool:
+        pool.exchange(("init_seed_vec", "dist", np.asarray(seeds, np.int64), np.inf))
+        rounds = 0
+        for _ in range(hops):
+            changed = sum(
+                pool.exchange(
+                    ("min_wave", "dist", "weight"), ("combine_min", "dist")
+                )
+            )
+            rounds += 1
             if changed == 0:
                 break
-        out = pool.collect([("lbl", 1.0, "label", "i8")])
-    finally:
-        pool.shutdown()
-    return out, {"sweeps": sweeps}
+        out = pool.collect([("dist", 1.0, "dist")])
+    return out, {"hops": hops, "rounds": rounds}
 
 
 def bfs_partitioned(
@@ -1272,28 +856,155 @@ def bfs_partitioned(
     dst_col: str = "dst",
     partitions: int | None = None,
 ) -> tuple[ray.data.Dataset, dict]:
-    """Multi-source BFS hop distances on the BSP SpMV pool — same
-    semantics as the r4 all-Dataset bfs_joined (dist(v) <- min(dist(v),
-    min_u dist(u) + 1) to the fixpoint; unreachable keeps the INF
-    sentinel dist == n, int64 output)."""
-    pool = SpmvPool(
-        edges,
-        n,
-        src_col=src_col,
-        dst_col=dst_col,
-        weight_col=None,
+    """Multi-source BFS hop distances: dist(v) <- min(dist(v), min_u
+    dist(u) + 1) to the fixpoint; unreachable keeps the INF sentinel
+    dist == n, int64 output."""
+    with SpmvPool(
+        edges, SpmvShard, n, src_col=src_col, dst_col=dst_col,
         partitions=partitions,
-        need_reverse=False,
-    )
-    try:
-        pool.init_seed_vec("dist", seeds, default=float(n))
+    ) as pool:
+        pool.exchange(
+            ("init_seed_vec", "dist", np.asarray(seeds, np.int64), float(n))
+        )
         rounds = 0
         while rounds < max_rounds:
-            changed = pool.min_fwd("dist", plus="one")
+            changed = sum(
+                pool.exchange(("min_wave", "dist", "one"), ("combine_min", "dist"))
+            )
             rounds += 1
             if changed == 0:
                 break
         out = pool.collect([("dist", 1.0, "dist", "i8")])
-    finally:
-        pool.shutdown()
     return out, {"rounds": rounds}
+
+
+def lpa_partitioned(
+    edges: ray.data.Dataset,
+    n: int,
+    max_sweeps: int = 25,
+    src_col: str = "src",
+    dst_col: str = "dst",
+    weight_col: str = "weight",
+    partitions: int | None = None,
+) -> tuple[ray.data.Dataset, dict]:
+    """Label propagation — singleton init, then synchronous sweeps with
+    the algos/lpa.py decision rule (adopt the max-incident-weight
+    neighbor label; keep current unless strictly better, or tied with a
+    smaller label; self-loops ignored). Hub skew needs no salting: a
+    hub's per-label sums are pre-combined on each sender before the
+    exchange. `edges` must be symmetrized."""
+    with SpmvPool(
+        edges, SpmvShard, n, sides=("r",), src_col=src_col, dst_col=dst_col,
+        weight_col=weight_col, partitions=partitions,
+    ) as pool:
+        pool.exchange(("init_index_vec", "lbl"))
+        sweeps = 0
+        for _ in range(max_sweeps):
+            changed = sum(
+                pool.exchange(("lpa_wave", "lbl"), ("lpa_combine", "lbl"))
+            )
+            sweeps += 1
+            if changed == 0:
+                break
+        out = pool.collect([("lbl", 1.0, "label", "i8")])
+    return out, {"sweeps": sweeps}
+
+
+def louvain_level_partitioned(
+    edges: ray.data.Dataset,
+    n: int,
+    m2: float,
+    max_sweeps: int = 64,
+    weight_col: str = "weight",
+    partitions: int | None = None,
+) -> tuple[ray.data.Dataset, dict]:
+    """Local-move sweeps of one Louvain level from singletons, until a
+    sweep moves nothing or `max_sweeps` ran. Returns (assignment Dataset
+    (vid, comm), {"sweeps", "moves"}).
+
+    Each sweep is `chunked_local_move_sweep(chunk=n)`: the pure-Jacobi
+    decision against fresh snapshot stats (gain argmax with min-comm
+    tie-break, remove-before-gain threshold, singleton-swap guard),
+    bit-for-bit on integer-weight graphs. The assignment stays sharded on
+    the actors across sweeps, so the edge ingest is paid once per level.
+    `edges` must be symmetrized deduped entries."""
+    with SpmvPool(
+        edges, SpmvShard, n, sides=("r",), weight_col=weight_col,
+        partitions=partitions,
+    ) as pool:
+        pool.exchange(("weighted_degree", "deg", "r"))
+        pool.exchange(("init_index_vec", "asn"))
+        sweeps = moves = 0
+        for _ in range(max_sweeps):
+            moved = sum(
+                pool.exchange(
+                    ("louvain_emit",),
+                    ("louvain_gather",),
+                    ("stats_serve",),
+                    ("louvain_decide", m2),
+                )
+            )
+            sweeps += 1
+            moves += moved
+            if moved == 0:
+                break
+        out = pool.collect([("asn", 1.0, "comm", "i8")])
+    return out, {"sweeps": sweeps, "moves": moves}
+
+
+def kcore_peel_partitioned(
+    edges: ray.data.Dataset,
+    k: int,
+    rounds: int = 16,
+    src_col: str = "src",
+    dst_col: str = "dst",
+    partitions: int | None = None,
+) -> tuple[ray.data.Dataset, dict]:
+    """k-core peel: returns (alive vid Dataset, {"rounds", "n_alive"}).
+    Exactly `rounds` synchronous peels or the earlier fixpoint (identical
+    by monotonicity); per-round semantics match `algos.kcore.
+    kcore_bounded` bit for bit. One round is a count wave and a combine;
+    the driver sees two ints per actor."""
+    with SpmvPool(
+        edges, PeelShard, k, sides=("u",), src_col=src_col, dst_col=dst_col,
+        partitions=partitions,
+    ) as pool:
+
+        def wave(thresh: int | None = None) -> list[tuple[int, int]]:
+            return pool.exchange(("count_wave",), ("combine_wave", thresh))
+
+        n_prev: int | None = None
+        n_alive = 0
+        done = 0
+        counts: list[tuple[int, int]] = []
+        if rounds < 1:
+            # round 0's alive set (edge-incident vids): one wave at
+            # threshold 1 — every incident vid has >= 1 spoke
+            counts = wave(1)
+            n_alive = sum(c[1] for c in counts)
+        for r in range(rounds):
+            counts = wave()
+            n_before = sum(c[0] for c in counts)
+            n_alive = sum(c[1] for c in counts)
+            if n_prev is None:
+                n_prev = n_before  # round 0's alive set: edge-incident vids
+            done = r + 1
+            if n_alive == n_prev:
+                break
+            n_prev = n_alive
+
+        alive_tabs = [
+            a.survivors_table.remote()
+            for a, c in zip(pool.actors, counts)
+            if c[1] > 0
+        ]
+        if alive_tabs:
+            alive = ray.data.from_arrow_refs(alive_tabs)
+        else:
+            alive = ray.data.from_arrow(
+                pa.table({"vid": np.empty(0, dtype=np.int64)})
+            )
+        # from_arrow_refs blocks live in the owning actor's object-store
+        # lifetime: materialize before the pool dies
+        alive = alive.materialize()
+    return alive, {"rounds": done, "n_alive": n_alive}

@@ -6,10 +6,11 @@ x num_partitions aggregator actors oversubscribed the cluster;
 artifact shipped empty).
 
 This test reproduces the DRIVER's shape — a fresh cluster with EVERY
-available CPU and num_partitions == cpus — in a subprocess (the session
-fixture owns this process's cluster), with a hard timeout. It must run
-the joined-LPA sweep plus the longest chained-join pipeline (joined
-Louvain sweep) to completion."""
+available CPU (at least 4, so the pools run a multi-actor exchange even
+on a small box) and num_partitions == cpus — in a subprocess (the
+session fixture owns this process's cluster), with a hard timeout. It
+must run the sharded LPA sweeps plus one sharded Louvain level sweep to
+completion."""
 
 import os
 import subprocess
@@ -25,12 +26,13 @@ ray.init(address="local", num_cpus=%(cpus)d, include_dashboard=False)
 from parallel_louvain_method_ray.algos.joined import (
     _collect,
     joined_graph_from_handle,
-    label_propagation_joined,
-    louvain_sweep_joined,
-    singleton_assignment,
 )
 from parallel_louvain_method_ray.config import EngineConfig
 from parallel_louvain_method_ray.graph.build import graph_from_entry_arrays
+from parallel_louvain_method_ray.state.spmv_pool import (
+    louvain_level_partitioned,
+    lpa_partitioned,
+)
 from tests.fixtures import planted_partition_graph
 
 src, dst, w, _ = planted_partition_graph(60, 4, 8, 2, seed=7)
@@ -39,12 +41,13 @@ g = graph_from_entry_arrays(
     np.ones(len(src)), EngineConfig(num_partitions=%(cpus)d),
 )
 jg = joined_graph_from_handle(g)
-labels, meta = label_propagation_joined(jg, max_sweeps=2, partitions=%(cpus)d)
+labels, meta = lpa_partitioned(jg.edges, jg.n, max_sweeps=2, partitions=%(cpus)d)
 n_labels = _collect(labels).num_rows
 assert n_labels == jg.n, (n_labels, jg.n)
-assign, moves = louvain_sweep_joined(
-    jg, singleton_assignment(jg), 2.0 * jg.m, partitions=%(cpus)d
+assign, info = louvain_level_partitioned(
+    jg.edges, jg.n, 2.0 * jg.m, max_sweeps=1, partitions=%(cpus)d
 )
+moves = info["moves"]
 assert _collect(assign).num_rows == jg.n
 print("DRIVER_SHAPE_OK", n_labels, moves)
 ray.shutdown()
@@ -52,7 +55,7 @@ ray.shutdown()
 
 
 def test_joined_lpa_and_louvain_at_full_cpu_fanout(tmp_path):
-    cpus = os.cpu_count() or 4
+    cpus = max(os.cpu_count() or 4, 4)
     script = _SCRIPT % {
         "repo": os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
         "cpus": cpus,

@@ -1,28 +1,36 @@
-"""Ghost-restricted (join-based) iterative algorithms vs the broadcast
-engine. The join path keeps ALL state in Datasets (SURVEY §4.3); on
-integer-weight fixtures its Louvain must match the pure-Jacobi kernel
-loop BIT-FOR-BIT, and PageRank/CC/LPA must match the broadcast engine."""
+"""Sharded-tier (state/spmv_pool.py) iterative algorithms vs the
+broadcast engine. The sharded tier keeps no O(V) state on the driver
+(SURVEY §4.3); on integer-weight fixtures its Louvain must match the
+pure-Jacobi kernel loop BIT-FOR-BIT at every pool size, and
+PageRank/CC/LPA must match the broadcast engine."""
 
 import numpy as np
 import pyarrow as pa
+import pytest
 import ray.data
 
 from parallel_louvain_method_ray.algos.components import connected_components
 from parallel_louvain_method_ray.algos.joined import (
     _collect,
-    connected_components_joined,
     joined_graph_from_handle,
-    label_propagation_joined,
-    louvain_auto,
     louvain_jacobi_numpy,
     louvain_joined,
-    pagerank_joined,
 )
 from parallel_louvain_method_ray.algos.lpa import label_propagation
 from parallel_louvain_method_ray.algos.pagerank import pagerank
 from parallel_louvain_method_ray.config import EngineConfig
 from parallel_louvain_method_ray.graph.build import graph_from_entry_arrays
 from parallel_louvain_method_ray.graph.csr import shard_to_entries, unpack_shards
+from parallel_louvain_method_ray.state.spmv_pool import (
+    bfs_partitioned,
+    cc_partitioned,
+    hits_partitioned,
+    katz_partitioned,
+    kcore_peel_partitioned,
+    lpa_partitioned,
+    pagerank_partitioned,
+    sssp_partitioned,
+)
 from tests.fixtures import planted_partition_graph, random_graph
 
 
@@ -51,14 +59,19 @@ def _col(ds, col):
     return t.column(col).to_numpy(zero_copy_only=False)
 
 
-def test_louvain_joined_bitwise_matches_jacobi_kernel():
-    # planted community structure, P>1 partitions, integer weights ->
-    # every float sum is exact, so the Dataset pipeline must reproduce the
-    # numpy Jacobi kernel loop bit-for-bit (assignments AND Q)
+@pytest.mark.parametrize("partitions", [None, 2, 5])
+def test_louvain_joined_bitwise_matches_jacobi_kernel(partitions):
+    # planted community structure, integer weights -> every float sum is
+    # exact, so the sharded sweeps must reproduce the numpy Jacobi kernel
+    # loop bit-for-bit (assignments AND Q). None is the size-aware pool
+    # (one actor on this fixture); 2 and 5 run the cross-actor exchange
+    # and a level with fewer communities than blocks.
     src, dst, w, _ = planted_partition_graph(48, 4, 6, 1, seed=11)
     g = _graph(src, dst, np.ones(len(src)), P=4)
     jg = joined_graph_from_handle(g)
-    mem_ds, q, levels = louvain_joined(jg, max_sweeps=4, max_levels=2)
+    mem_ds, q, levels = louvain_joined(
+        jg, max_sweeps=4, max_levels=2, partitions=partitions
+    )
     mem = _col(mem_ds, "comm")
     es, ed, ew = _entries_of(g)
     mem_ref, q_ref = louvain_jacobi_numpy(
@@ -73,7 +86,7 @@ def test_pagerank_joined_matches_broadcast():
     src, dst, w = random_graph(70, 5, seed=9, weights=True)
     g = _graph(src, dst, w, P=3)
     jg = joined_graph_from_handle(g)
-    ranks_ds, meta = pagerank_joined(jg, tol=0.0, max_iter=5)
+    ranks_ds, meta = pagerank_partitioned(jg.edges, jg.n, tol=0.0, max_iter=5)
     rj = _col(ranks_ds, "rank")
     rb, _ = pagerank(g, tol=0.0, max_iter=5)
     np.testing.assert_allclose(rj, rb, atol=1e-12)
@@ -86,7 +99,7 @@ def test_cc_joined_exact():
     dst = np.array([1, 2, 3, 6, 7], dtype=np.int64)
     g = _graph(src, dst, np.ones(5), P=2)
     jg = joined_graph_from_handle(g)
-    lab_ds, meta = connected_components_joined(jg)
+    lab_ds, meta = cc_partitioned(jg.edges, jg.n)
     lj = _col(lab_ds, "label")
     lb, _ = connected_components(g)
     np.testing.assert_array_equal(lj, lb)
@@ -96,62 +109,42 @@ def test_cc_joined_pointer_doubling_on_path_graph():
     # a 48-vertex path: plain min-label propagation needs ~47 rounds (the
     # min label travels one hop per round); with pointer doubling the jump
     # label(v) <- label(label(v)) contracts chains, so rounds stay
-    # O(log diameter). Labels must be identical either way.
+    # O(log diameter). Labels must be identical either way. partitions=3
+    # runs the jump's request / serve / apply gather across actors.
     n = 48
     src = np.arange(n - 1, dtype=np.int64)
     dst = src + 1
     g = _graph(src, dst, np.ones(n - 1), P=2)
     jg = joined_graph_from_handle(g)
-    lab_ds, meta = connected_components_joined(jg, pointer_doubling_after=2)
-    lj = _col(lab_ds, "label")
-    np.testing.assert_array_equal(lj, np.zeros(n, dtype=np.int64))
-    # plain propagation would need n-1 = 47 rounds on this path (min label
-    # travels one hop per round — not re-measured here, it's ~2 min of pure
-    # per-round fixed cost); doubling must stay logarithmic
-    assert meta["rounds"] <= 14, meta
-    assert meta["jumps"] >= 1, meta
     lb, _ = connected_components(g)
-    np.testing.assert_array_equal(lj, lb)
+    for partitions in (None, 3):
+        lab_ds, meta = cc_partitioned(
+            jg.edges, jg.n, partitions=partitions, pointer_doubling_after=2
+        )
+        lj = _col(lab_ds, "label")
+        np.testing.assert_array_equal(lj, np.zeros(n, dtype=np.int64))
+        # plain propagation would need n-1 = 47 rounds on this path (min
+        # label travels one hop per round); doubling must stay logarithmic
+        assert meta["rounds"] <= 14, meta
+        assert meta["jumps"] >= 1, meta
+        np.testing.assert_array_equal(lj, lb)
 
 
 def test_lpa_joined_matches_broadcast():
     src, dst, w, _ = planted_partition_graph(36, 3, 5, 1, seed=4)
     g = _graph(src, dst, np.ones(len(src)), P=3)
     jg = joined_graph_from_handle(g)
-    lab_ds, meta = label_propagation_joined(jg, max_sweeps=3)
+    lab_ds, meta = lpa_partitioned(jg.edges, jg.n, max_sweeps=3)
     lj = _col(lab_ds, "label")
     lb, _ = label_propagation(g, max_sweeps=3)
     np.testing.assert_array_equal(lj, lb)
 
 
-def test_louvain_auto_routes_to_join_path():
-    # budget 0 forces the join path; result must still be the Jacobi one
-    src, dst, w, _ = planted_partition_graph(24, 2, 5, 1, seed=2)
-    edges = ray.data.from_arrow(
-        pa.table(
-            {
-                "src": np.asarray(src, np.int64),
-                "dst": np.asarray(dst, np.int64),
-                "weight": np.ones(len(src)),
-            }
-        )
-    )
-    cfg = EngineConfig(num_partitions=2, max_broadcast_vertices=0, max_sweeps=4,
-                       max_levels=2)
-    mem_ds, q, levels = louvain_auto(edges, 24, cfg)
-    g = _graph(src, dst, np.ones(len(src)), P=2)
-    es, ed, ew = _entries_of(g)
-    mem_ref, q_ref = louvain_jacobi_numpy(es, ed, ew, 24, max_sweeps=4, max_levels=2)
-    np.testing.assert_array_equal(_col(mem_ds, "comm"), mem_ref)
-    assert q == q_ref
-
-
 def test_louvain_joined_hub_fixture_bitwise():
     # hub fixture: a star center with high degree. (The r4 all-Dataset
-    # sweep salted its neighbor-weight groupby above the threshold; the
-    # BSP pool pre-combines per-(src, comm) partials per partition, so
-    # the threshold is accepted-and-ignored.) Result must be
-    # bit-identical to the Jacobi kernel (integer weights).
+    # sweep salted its neighbor-weight groupby for hubs; the sharded pool
+    # pre-combines per-(src, comm) partials per sender instead.) Result
+    # must be bit-identical to the Jacobi kernel (integer weights).
     src, dst, w, _ = planted_partition_graph(30, 3, 4, 1, seed=7)
     hub_src = np.zeros(29, dtype=np.int64)
     hub_dst = np.arange(1, 30, dtype=np.int64)
@@ -159,11 +152,9 @@ def test_louvain_joined_hub_fixture_bitwise():
     dst = np.concatenate([dst, hub_dst])
     g = _graph(src, dst, np.ones(len(src)), P=3)
     jg = joined_graph_from_handle(g)
-    assert jg.max_out_degree > 3
-    mem_s, q_s, _ = louvain_joined(
-        jg, max_sweeps=3, max_levels=1, hub_degree_threshold=2
-    )
     es, ed, ew = _entries_of(g)
+    assert np.bincount(es).max() > 3
+    mem_s, q_s, _ = louvain_joined(jg, max_sweeps=3, max_levels=1)
     mem_ref, q_ref = louvain_jacobi_numpy(es, ed, ew, g.n, max_sweeps=3, max_levels=1)
     np.testing.assert_array_equal(_col(mem_s, "comm"), mem_ref)
     assert q_s == q_ref
@@ -171,13 +162,12 @@ def test_louvain_joined_hub_fixture_bitwise():
 
 def test_bfs_joined_matches_broadcast():
     from parallel_louvain_method_ray.algos.bfs import bfs_distances
-    from parallel_louvain_method_ray.algos.joined import bfs_joined
 
     src, dst, w = random_graph(60, 4, seed=21)
     g = _graph(src, dst, w, P=3)
     jg = joined_graph_from_handle(g)
     seeds = np.array([0, 19, 44])
-    dist_ds, meta = bfs_joined(jg, seeds)
+    dist_ds, meta = bfs_partitioned(jg.edges, jg.n, seeds)
     dj = _col(dist_ds, "dist")
     db, _ = bfs_distances(g, seeds)
     np.testing.assert_array_equal(dj, db)
@@ -188,10 +178,7 @@ def test_kcore_joined_matches_broadcast():
     """VERDICT r3 #4: the peel on the join path (alive as a Dataset) must
     equal the broadcast peel round-for-round — at the fixpoint AND at a
     pre-convergence round bound."""
-    from parallel_louvain_method_ray.algos.kcore import (
-        kcore_bounded,
-        kcore_joined,
-    )
+    from parallel_louvain_method_ray.algos.kcore import kcore_bounded
 
     src, dst, w = random_graph(80, 6, seed=33)
     edges = ray.data.from_arrow(
@@ -199,7 +186,7 @@ def test_kcore_joined_matches_broadcast():
     ).repartition(3)
     for k, rounds in ((3, 16), (4, 2), (5, 16)):
         alive_b, _ = kcore_bounded(edges, 80, k=k, rounds=rounds)
-        alive_ds, meta = kcore_joined(edges, k=k, rounds=rounds)
+        alive_ds, meta = kcore_peel_partitioned(edges, k=k, rounds=rounds)
         t = _collect(alive_ds)
         got = (
             np.sort(t.column("vid").to_numpy(zero_copy_only=False))
@@ -211,8 +198,6 @@ def test_kcore_joined_matches_broadcast():
 
 
 def test_kcore_joined_peels_to_empty():
-    from parallel_louvain_method_ray.algos.kcore import kcore_joined
-
     # a path graph has no 2-core
     n = 10
     edges = ray.data.from_arrow(
@@ -223,19 +208,20 @@ def test_kcore_joined_peels_to_empty():
             }
         )
     )
-    alive_ds, meta = kcore_joined(edges, k=2, rounds=16)
+    alive_ds, meta = kcore_peel_partitioned(edges, k=2, rounds=16)
     assert meta["n_alive"] == 0
     assert alive_ds.count() == 0
 
 
 def test_katz_joined_matches_broadcast():
-    from parallel_louvain_method_ray.algos.joined import katz_joined
     from parallel_louvain_method_ray.algos.pagerank import katz_centrality
 
     src, dst, w = random_graph(70, 5, seed=41, weights=True)
     g = _graph(src, dst, w, P=3)
     jg = joined_graph_from_handle(g)
-    xj_ds, _ = katz_joined(jg, alpha=0.005, beta=1.0, iters=5)
+    xj_ds, _ = katz_partitioned(
+        jg.edges, jg.n, alpha=0.005, beta=1.0, iters=5, weight_col="weight"
+    )
     xj = _col(xj_ds, "katz")
     xb, _ = katz_centrality(g, alpha=0.005, beta=1.0, iters=5)
     np.testing.assert_allclose(xj, xb, rtol=1e-9)
@@ -243,14 +229,13 @@ def test_katz_joined_matches_broadcast():
 
 def test_sssp_joined_matches_broadcast():
     from parallel_louvain_method_ray.algos.bfs import sssp_hops
-    from parallel_louvain_method_ray.algos.joined import sssp_joined
 
     src, dst, w = random_graph(60, 4, seed=51, weights=True)
     g = _graph(src, dst, w, P=3)
     jg = joined_graph_from_handle(g)
     seeds = np.array([0, 33])
     for hops in (2, 8):  # pre-convergence bound AND (likely) fixpoint
-        dj_ds, _ = sssp_joined(jg, seeds, hops=hops)
+        dj_ds, _ = sssp_partitioned(jg.edges, jg.n, seeds, hops=hops)
         dj = _col(dj_ds, "dist")
         db, _ = sssp_hops(g, seeds, hops=hops)
         np.testing.assert_allclose(dj, db, rtol=1e-12)
@@ -258,7 +243,6 @@ def test_sssp_joined_matches_broadcast():
 
 def test_hits_joined_matches_broadcast():
     from parallel_louvain_method_ray.algos.hits import hits
-    from parallel_louvain_method_ray.algos.joined import hits_joined
 
     src, dst, w = random_graph(50, 4, seed=61, weights=True)
     # directed edges with weights
@@ -266,7 +250,7 @@ def test_hits_joined_matches_broadcast():
         pa.table({"src": src, "dst": dst, "n_anchors": w})
     ).repartition(3)
     hb, ab, _ = hits(edges, 50, iters=3, weight_col="n_anchors")
-    out_ds, _ = hits_joined(edges, 50, iters=3, weight_col="n_anchors")
+    out_ds, _ = hits_partitioned(edges, 50, iters=3, weight_col="n_anchors")
     t = _collect(out_ds.sort("vid"))
     np.testing.assert_allclose(
         t.column("hub").to_numpy(zero_copy_only=False), hb, rtol=1e-9

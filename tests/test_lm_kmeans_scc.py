@@ -3,9 +3,10 @@ integer-exact k-means assign/update, bounded SCC labels."""
 
 import numpy as np
 import pyarrow as pa
+import pytest
 import ray.data
 
-from parallel_louvain_method_ray.algos.scc import scc2_labels
+from parallel_louvain_method_ray.algos.scc import reach2_pairs, scc2_labels
 from parallel_louvain_method_ray.sim.kmeans import (
     _assign_block,
     kmeans_assign,
@@ -145,6 +146,13 @@ def test_scc2_cycle_and_isolates(ray_session):
     }
     assert got[0] == 0 and got[1] == 0 and got[2] == 0
     assert got[3] == 3 and got[4] == 4 and got[5] == 5
+
+
+def test_reach2_pairs_rejects_packing_overflow(ray_session):
+    # u*n+v packs into int64 only while n^2 < 2^63; the guard must also
+    # hold under `python -O`, which strips asserts
+    with pytest.raises(ValueError):
+        reach2_pairs(_edges_ds([(0, 1)]), 3_037_000_499)
 
 
 def test_scc2_hub_cap_drops_middle(ray_session):

@@ -1,4 +1,4 @@
-"""Partitioned BSP k-core peel (state/peel_pool.py): parity with the
+"""Partitioned BSP k-core peel (state/spmv_pool.py): parity with the
 broadcast peel at several partition counts, the rounds<1 edge case, and
 the absorbed pair-dedup semantics."""
 
@@ -7,7 +7,7 @@ import pyarrow as pa
 import ray.data
 
 from parallel_louvain_method_ray.algos.kcore import kcore_bounded
-from parallel_louvain_method_ray.state.peel_pool import kcore_peel_partitioned
+from parallel_louvain_method_ray.state.spmv_pool import kcore_peel_partitioned
 from tests.fixtures import random_graph
 
 

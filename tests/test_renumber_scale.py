@@ -5,7 +5,7 @@ import numpy as np
 import pyarrow as pa
 import ray.data
 
-from parallel_louvain_method_ray.graph.build import renumber
+from parallel_louvain_method_ray.graph.build import assign_dense_ids, renumber
 from parallel_louvain_method_ray.pipelines.web_graph import renumber_urls
 
 
@@ -64,3 +64,14 @@ def test_renumber_scale_path_matches_driver_path_urls():
     assert vd.equals(vs)
     ed, es = _sorted_df(_collect(e_drv)), _sorted_df(_collect(e_sc))
     assert ed.equals(es)
+
+
+def test_assign_dense_ids_with_more_blocks_than_keys():
+    # a sort with fewer distinct keys than blocks leaves empty blocks
+    # (Louvain coarsening hits this when a level has few communities)
+    for n_keys, n_blocks in ((3, 5), (2, 8), (10, 5)):
+        keys = np.arange(n_keys, dtype=np.int64) * 7
+        ds = ray.data.from_arrow(pa.table({"comm": keys})).repartition(n_blocks)
+        t = _collect(assign_dense_ids(ds, "comm")).sort_by("comm")
+        assert t.column("comm").to_pylist() == keys.tolist()
+        assert t.column("vid").to_pylist() == list(range(n_keys))

@@ -288,11 +288,9 @@ def test_pool_hub_skew_star_graph():
 
 
 def test_hits_joined_delegates_and_validates():
-    from parallel_louvain_method_ray.algos.joined import hits_joined
-
     edges, *_ = _directed_edges(n=20, m=60, blocks=2)
     with pytest.raises(ValueError):
-        hits_joined(edges, 20, iters=0)
-    out, info = hits_joined(edges, 20, iters=1, weight_col="n_anchors")
+        hits_partitioned(edges, 20, iters=0)
+    out, info = hits_partitioned(edges, 20, iters=1, weight_col="n_anchors")
     assert out.count() == 20
     assert info["iterations"] == 1
