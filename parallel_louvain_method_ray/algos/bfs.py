@@ -1,12 +1,20 @@
-"""Multi-source BFS hop distances over CSR shards.
+"""Multi-source BFS hop distances, hop-bounded SSSP and the Graph500
+BFS parent tree over a GraphHandle.
 
-Same BSP shape as connected components (algos/components.py, reference
-parity note there): each global round is one shuffle-free map_batches pass
-over the shards; inside a shard the kernel relaxes `dist[v] =
-min(dist[v], min_u dist[u] + 1)` to a LOCAL fixpoint with
-`np.minimum.reduceat` before emitting changes, so the number of global
-rounds is roughly the number of cross-partition hops, not the graph
-diameter."""
+Two paths, gated on the graph's entry count against
+`config.DRIVER_LOCAL_ROWS`:
+
+- at or below it, every round runs on the driver over a CSR of the
+  collected entry list;
+- above it, BFS and SSSP run as `state.spmv_pool.bfs_partitioned` /
+  `sssp_partitioned` rounds over the graph's entry Dataset, and their
+  (vid, dist) output is scattered into the same dense array.
+
+Both paths compute the same values: BFS distances are the unique
+min-plus fixpoint, and SSSP does exactly one synchronous (Jacobi)
+relaxation per round on both, so `hops` bounds the path length the
+same way. `bfs_parents` adds one pass for the parent rule: numpy on the
+driver-local CSR, or one map_batches pass over the CSR shards."""
 
 from __future__ import annotations
 
@@ -14,16 +22,14 @@ import numpy as np
 import pyarrow as pa
 import ray
 
-from parallel_louvain_method_ray.graph.build import GraphHandle
+from parallel_louvain_method_ray import config
+from parallel_louvain_method_ray.graph.build import GraphHandle, entries_dataset
 from parallel_louvain_method_ray.graph.csr import unpack_shards
-
-# below this entry count the whole traversal runs on the driver: each
-# distributed round is a full Ray Data execution (~1 s of operator fixed
-# cost regardless of data size), so a handful of rounds on a toy graph
-# costs 10x the actual work. Mirrors EngineConfig.driver_local_entries
-# (the broadcast tier already holds O(V) driver state either way; final
-# distances are the same unique min-plus fixpoint on both paths).
-_DRIVER_LOCAL_ENTRIES = 200_000
+from parallel_louvain_method_ray.state.spmv_pool import (
+    bfs_partitioned,
+    sssp_partitioned,
+    to_dense,
+)
 
 
 def _local_csr(graph: GraphHandle):
@@ -53,6 +59,15 @@ def _row_gather(indptr: np.ndarray, rows: np.ndarray):
     return out, counts
 
 
+def _seed_array(seeds, n: int) -> np.ndarray:
+    """Seeds as int64; ValueError on a vid outside [0, n) (numpy would
+    wrap a negative seed onto vertex n-1)."""
+    s = np.asarray(seeds, dtype=np.int64)
+    if s.size and (s.min() < 0 or s.max() >= n):
+        raise ValueError(f"seed out of range [0, {n}): [{s.min()}, {s.max()}]")
+    return s
+
+
 def bfs_distances(
     graph: GraphHandle,
     seeds: np.ndarray,
@@ -64,69 +79,25 @@ def bfs_distances(
     dist == n (the INF sentinel — strictly larger than any real hop
     count)."""
     n = graph.n
-    inf = np.int64(n)
-    dist = np.full(n, inf, dtype=np.int64)
-    dist[np.asarray(seeds, dtype=np.int64)] = 0
-    if graph.n_entries <= _DRIVER_LOCAL_ENTRIES:
-        # frontier BFS on a driver-local CSR (same unique fixpoint)
-        indptr, cols, _ = _local_csr(graph)
-        frontier = np.unique(np.asarray(seeds, dtype=np.int64))
-        level = np.int64(0)
-        while frontier.size and level < max_rounds:
-            gather, _ = _row_gather(indptr, frontier)
-            nbr = cols[gather]
-            new = np.unique(nbr[dist[nbr] > level + 1])
-            dist[new] = level + 1
-            frontier = new
-            level += 1
-        return dist, {"rounds": int(level)}
-    rounds = 0
-    while rounds < max_rounds:
-        dist_ref = ray.put(dist)
-
-        def kernel(batch: pa.Table) -> pa.Table:
-            out_v, out_d = [], []
-            for shard in unpack_shards(batch):
-                d = np.array(ray.get(dist_ref))  # fresh copy per shard
-                ip = shard.indptr
-                while True:
-                    row_min = (
-                        np.minimum.reduceat(d[shard.cols], ip[:-1]) + 1
-                    )
-                    cur = d[shard.vids]
-                    better = row_min < cur
-                    if not better.any():
-                        break
-                    d[shard.vids[better]] = row_min[better]
-                snap = ray.get(dist_ref)
-                ch = d[shard.vids] != snap[shard.vids]
-                out_v.append(shard.vids[ch])
-                out_d.append(d[shard.vids[ch]])
-            return pa.table(
-                {
-                    "vid": np.concatenate(out_v)
-                    if out_v
-                    else np.empty(0, np.int64),
-                    "dist": np.concatenate(out_d)
-                    if out_d
-                    else np.empty(0, np.int64),
-                }
-            )
-
-        changed = 0
-        for b in graph.shards.map_batches(
-            kernel, batch_format="pyarrow"
-        ).iter_batches(batch_format="pyarrow"):
-            t = pa.table(b)
-            vid = t.column("vid").to_numpy(zero_copy_only=False)
-            d = t.column("dist").to_numpy(zero_copy_only=False)
-            if vid.shape[0]:
-                np.minimum.at(dist, vid, d)
-                changed += vid.shape[0]
-        rounds += 1
-        if changed == 0:
-            break
-    return dist, {"rounds": rounds}
+    seeds = _seed_array(seeds, n)
+    if graph.n_entries > config.DRIVER_LOCAL_ROWS:
+        out, meta = bfs_partitioned(entries_dataset(graph), n, seeds, max_rounds)
+        (dist,) = to_dense(out, n, np.int64(n), "dist")
+        return dist, meta
+    # level-synchronous frontier BFS on a driver-local CSR
+    dist = np.full(n, n, dtype=np.int64)
+    dist[seeds] = 0
+    indptr, cols, _ = _local_csr(graph)
+    frontier = np.unique(seeds)
+    level = np.int64(0)
+    while frontier.size and level < max_rounds:
+        gather, _ = _row_gather(indptr, frontier)
+        nbr = cols[gather]
+        new = np.unique(nbr[dist[nbr] > level + 1])
+        dist[new] = level + 1
+        frontier = new
+        level += 1
+    return dist, {"rounds": int(level)}
 
 
 def sssp_hops(
@@ -137,74 +108,33 @@ def sssp_hops(
     """Hop-bounded weighted shortest paths (exact Bellman-Ford semantics):
     dist after round r = cheapest path from any seed using AT MOST r edges.
 
-    Unlike `bfs_distances`, the kernel does EXACTLY ONE relaxation per
-    global round (no local fixpoint — a fixpoint would relax multi-hop
-    paths inside a shard and break the hop bound the SQL oracle unrolls).
-    Returns float64 dists; unreachable-in-`hops` keeps +inf."""
+    Unlike `bfs_distances`, a round is EXACTLY ONE synchronous relaxation
+    (a fixpoint inside a round would relax multi-hop paths and break the
+    hop bound the SQL oracle unrolls). Returns float64 dists;
+    unreachable-in-`hops` keeps +inf."""
     n = graph.n
-    dist = np.full(n, np.inf, dtype=np.float64)
-    dist[np.asarray(seeds, dtype=np.int64)] = 0.0
-    if graph.n_entries <= _DRIVER_LOCAL_ENTRIES:
-        # the SAME one-relaxation-per-round Jacobi loop, driver-local
-        indptr, cols, w = _local_csr(graph)
-        if cols.size == 0:
-            return dist, {"hops": hops}
-        nonempty = np.diff(indptr) > 0
-        # reduceat quirks: an empty row reads the NEXT slice's first
-        # element, and a trailing empty row's start == len(cols) is out
-        # of bounds — clamp the starts and mask empty rows afterwards
-        starts = np.minimum(indptr[:-1], cols.size - 1)
-        for _ in range(hops):
-            cand = np.minimum.reduceat(dist[cols] + w, starts)
-            cand[~nonempty] = np.inf
-            better = cand < dist
-            if not better.any():
-                break
-            dist[better] = cand[better]
+    seeds = _seed_array(seeds, n)
+    if graph.n_entries > config.DRIVER_LOCAL_ROWS:
+        out, _ = sssp_partitioned(entries_dataset(graph), n, seeds, hops)
+        (dist,) = to_dense(out, n, np.inf, "dist")
         return dist, {"hops": hops}
-
+    dist = np.full(n, np.inf, dtype=np.float64)
+    dist[seeds] = 0.0
+    indptr, cols, w = _local_csr(graph)
+    if cols.size == 0:
+        return dist, {"hops": hops}
+    nonempty = np.diff(indptr) > 0
+    # reduceat quirks: an empty row reads the NEXT slice's first
+    # element, and a trailing empty row's start == len(cols) is out
+    # of bounds — clamp the starts and mask empty rows afterwards
+    starts = np.minimum(indptr[:-1], cols.size - 1)
     for _ in range(hops):
-        dist_ref = ray.put(dist)
-
-        def kernel(batch: pa.Table) -> pa.Table:
-            out_v, out_d = [], []
-            for shard in unpack_shards(batch):
-                d = ray.get(dist_ref)
-                cand = np.minimum.reduceat(
-                    d[shard.cols] + shard.weights, shard.indptr[:-1]
-                )
-                # reduceat on an empty row yields the NEXT slice's first
-                # element — mask rows with zero entries
-                row_len = np.diff(shard.indptr)
-                cand[row_len == 0] = np.inf
-                better = cand < d[shard.vids]
-                out_v.append(shard.vids[better])
-                out_d.append(cand[better])
-            return pa.table(
-                {
-                    "vid": np.concatenate(out_v)
-                    if out_v
-                    else np.empty(0, np.int64),
-                    "dist": np.concatenate(out_d)
-                    if out_d
-                    else np.empty(0, np.float64),
-                }
-            )
-
-        changed = 0
-        new_dist = dist.copy()
-        for b in graph.shards.map_batches(
-            kernel, batch_format="pyarrow"
-        ).iter_batches(batch_format="pyarrow"):
-            t = pa.table(b)
-            vid = t.column("vid").to_numpy(zero_copy_only=False)
-            d = t.column("dist").to_numpy(zero_copy_only=False)
-            if vid.shape[0]:
-                np.minimum.at(new_dist, vid, d)
-                changed += vid.shape[0]
-        dist = new_dist
-        if changed == 0:
+        cand = np.minimum.reduceat(dist[cols] + w, starts)
+        cand[~nonempty] = np.inf
+        better = cand < dist
+        if not better.any():
             break
+        dist[better] = cand[better]
     return dist, {"hops": hops}
 
 
@@ -248,7 +178,7 @@ def bfs_parents(
     One distance fixpoint + ONE extra shuffle-free pass."""
     dist, meta = bfs_distances(graph, np.array([root]), max_rounds=max_rounds)
     n = graph.n
-    if graph.n_entries <= _DRIVER_LOCAL_ENTRIES:
+    if graph.n_entries <= config.DRIVER_LOCAL_ROWS:
         # same min-vid parent rule on a driver-local CSR (one pass)
         parent = np.full(n, -1, dtype=np.int64)
         parent[root] = root

@@ -4,76 +4,22 @@ Fixed-iteration, L1-normalized power iteration:
 
     a_k = normalize(A^T h_{k-1})        h_k = normalize(A a_k)
 
-Each half-step is one shuffle-free map_batches pass over the edge table
-emitting sparse per-vertex partials against a broadcast score vector
-(same O(V)-driver-state contract as the other broadcast engines). The
+Two paths, gated on the edge count against `config.DRIVER_LOCAL_ROWS`:
+at or below it the (src, dst, w) columns are collected and each
+half-step is one `np.bincount` on the driver; above it
+`state.spmv_pool.hits_partitioned` runs the same half-steps on the pool
+and its (vid, hub, authority) output is scattered into dense arrays. The
 iteration count is fixed so the truncated computation is exactly
-reproducible by the unrolled SQL oracle."""
+reproducible by the unrolled SQL oracle. Both paths raise ValueError on
+an endpoint outside [0, n)."""
 
 from __future__ import annotations
 
 import numpy as np
-import pyarrow as pa
-import ray
 import ray.data
 
-
-def _pass(
-    edges: ray.data.Dataset,
-    x: np.ndarray,
-    n: int,
-    src_col: str,
-    dst_col: str,
-    weight_col: str | None,
-    reverse: bool,
-) -> np.ndarray:
-    """out[v] = sum over edges into/out of v of w * x[other end].
-    reverse=False: out[dst] += w * x[src] (A^T x, authority update);
-    reverse=True:  out[src] += w * x[dst] (A x, hub update)."""
-    x_ref = ray.put(x)
-
-    def contrib(batch: pa.Table) -> pa.Table:
-        xs = ray.get(x_ref)
-        s = batch.column(src_col).to_numpy(zero_copy_only=False)
-        d = batch.column(dst_col).to_numpy(zero_copy_only=False)
-        if len(s):
-            s_min, s_max = s.min(), s.max()
-            d_min, d_max = d.min(), d.max()
-            if s_max >= n or d_max >= n or s_min < 0 or d_min < 0:
-                # bincount(minlength=n) silently GROWS past n on an
-                # oversized endpoint and then np.add.at on the size-n
-                # driver array dies with an opaque IndexError (ADVICE r3)
-                # — fail loud instead
-                raise ValueError(
-                    f"hits: edge endpoint out of range [0, {n}) "
-                    f"(src range [{s_min}, {s_max}], "
-                    f"dst range [{d_min}, {d_max}])"
-                )
-        w = (
-            batch.column(weight_col)
-            .to_numpy(zero_copy_only=False)
-            .astype(np.float64)
-            if weight_col
-            else np.ones(s.shape[0])
-        )
-        if reverse:
-            acc = np.bincount(s, weights=w * xs[d], minlength=n)
-        else:
-            acc = np.bincount(d, weights=w * xs[s], minlength=n)
-        nz = np.flatnonzero(acc)
-        return pa.table({"vid": nz.astype(np.int64), "p": acc[nz]})
-
-    out = np.zeros(n, dtype=np.float64)
-    for b in edges.map_batches(contrib, batch_format="pyarrow").iter_batches(
-        batch_format="pyarrow"
-    ):
-        t = pa.table(b)
-        np.add.at(
-            out,
-            t.column("vid").to_numpy(zero_copy_only=False),
-            t.column("p").to_numpy(zero_copy_only=False),
-        )
-    return out
+from parallel_louvain_method_ray import config
+from parallel_louvain_method_ray.state.spmv_pool import hits_partitioned, to_dense
 
 
 def hits(
@@ -85,16 +31,38 @@ def hits(
     weight_col: str | None = None,
 ) -> tuple[np.ndarray, np.ndarray, dict]:
     """Returns (hubs float64[n], authorities float64[n], metrics)."""
-    edges = edges.materialize()  # consumed 2x per iteration
+    edges = edges.materialize()
+    if edges.count() > config.DRIVER_LOCAL_ROWS:
+        out, _ = hits_partitioned(
+            edges, n, iters, src_col=src_col, dst_col=dst_col, weight_col=weight_col
+        )
+        h, a = to_dense(out, n, 0.0, "hub", "authority")
+        return h, a, {"iterations": iters}
+    cols = [src_col, dst_col] + ([weight_col] if weight_col else [])
+    parts: list[list[np.ndarray]] = [[] for _ in cols]
+    for t in edges.iter_batches(batch_format="pyarrow"):
+        for p, c in zip(parts, cols):
+            p.append(t.column(c).to_numpy(zero_copy_only=False))
+    s, d, *w = [np.concatenate(p) if p else np.empty(0) for p in parts]
+    s, d = s.astype(np.int64), d.astype(np.int64)
+    w = w[0].astype(np.float64) if w else np.ones(s.shape[0])
+    for name, v in ((src_col, s), (dst_col, d)):
+        if v.size and (v.min() < 0 or v.max() >= n):
+            # bincount(minlength=n) would silently grow past n, and numpy
+            # would wrap a negative vid onto vertex n-1
+            raise ValueError(
+                f"hits: {name} endpoint out of range [0, {n}): "
+                f"[{v.min()}, {v.max()}]"
+            )
     h = np.ones(n, dtype=np.float64)
     a = np.zeros(n, dtype=np.float64)
     for _ in range(iters):
-        a = _pass(edges, h, n, src_col, dst_col, weight_col, reverse=False)
-        s = a.sum()
-        if s > 0:
-            a = a / s
-        h = _pass(edges, a, n, src_col, dst_col, weight_col, reverse=True)
-        s = h.sum()
-        if s > 0:
-            h = h / s
+        a = np.bincount(d, weights=w * h[s], minlength=n)
+        z = a.sum()
+        if z > 0:
+            a = a / z
+        h = np.bincount(s, weights=w * a[d], minlength=n)
+        z = h.sum()
+        if z > 0:
+            h = h / z
     return h, a, {"iterations": iters}

@@ -40,7 +40,7 @@ import ray.data
 from ray.data.aggregate import Sum
 
 from parallel_louvain_method_ray.algos._local_move import chunked_local_move_sweep
-from parallel_louvain_method_ray.graph.build import join_partitions
+from parallel_louvain_method_ray.graph.build import entries_dataset, join_partitions
 from parallel_louvain_method_ray.state.spmv_pool import louvain_level_partitioned
 
 
@@ -266,29 +266,9 @@ def joined_graph_from_entries(
 
 
 def joined_graph_from_handle(graph) -> JoinedGraph:
-    """Flatten a GraphHandle's CSR shards back to an entry Dataset (for
-    tests / queries that already built the dense graph)."""
-    from parallel_louvain_method_ray.graph.csr import shard_to_entries, unpack_shards
-
-    def expand(batch: pa.Table) -> pa.Table:
-        out = []
-        for shard in unpack_shards(batch):
-            s, d, w = shard_to_entries(shard)
-            out.append(pa.table({"src": s, "dst": d, "weight": w}))
-        return (
-            pa.concat_tables(out)
-            if out
-            else pa.table(
-                {
-                    "src": np.empty(0, np.int64),
-                    "dst": np.empty(0, np.int64),
-                    "weight": np.empty(0, np.float64),
-                }
-            )
-        )
-
-    entries = graph.shards.map_batches(expand, batch_format="pyarrow")
-    return joined_graph_from_entries(entries, graph.n)
+    """The JoinedGraph of an already built GraphHandle (for tests and
+    queries that built the dense graph)."""
+    return joined_graph_from_entries(entries_dataset(graph), graph.n)
 
 
 def singleton_assignment(jg: JoinedGraph) -> ray.data.Dataset:

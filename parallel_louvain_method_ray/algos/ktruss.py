@@ -13,8 +13,8 @@ key set, and credit each closed triangle to its THREE canonical edge
 keys via searchsorted + bincount — no per-edge Python loop anywhere.
 
 Tiers (the engine's documented ladder):
-- driver-local under `_DRIVER_LOCAL_PAIRS` (same budget as the k-core
-  peel): the whole loop is numpy on the collected pair list.
+- driver-local under `config.DRIVER_LOCAL_ROWS` (same budget as the
+  k-core peel): the whole loop is numpy on the collected pair list.
 - broadcast tier above it: the per-round oriented arrays and the probe
   key set are `ray.put` ONCE per round and the wedge expansion — the
   O(sum d+^2) term that dominates — fans out as vertex-range tasks,
@@ -39,10 +39,8 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from parallel_louvain_method_ray.algos.kcore import (
-    _DRIVER_LOCAL_PAIRS,
-    undirected_dedup,
-)
+from parallel_louvain_method_ray import config
+from parallel_louvain_method_ray.algos.kcore import undirected_dedup
 
 
 def _support(a: np.ndarray, b: np.ndarray, n: int, tasks: int = 0) -> np.ndarray:
@@ -150,7 +148,7 @@ def ktruss_bounded(
     a = np.concatenate(ats) if ats else np.empty(0, np.int64)
     b = np.concatenate(bts) if bts else np.empty(0, np.int64)
     tasks = 0
-    if n_pairs > _DRIVER_LOCAL_PAIRS:
+    if n_pairs > config.DRIVER_LOCAL_ROWS:
         tasks = int(ray.cluster_resources().get("CPU", 8))
     done = 0
     for r in range(rounds):

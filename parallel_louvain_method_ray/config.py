@@ -65,3 +65,12 @@ class EngineConfig:
 
 
 DEFAULT_CONFIG = EngineConfig()
+
+# Driver-local budget of the fixed-round graph algorithms (BFS, SSSP,
+# BFS parents, k-core, k-truss, HITS), counted in the rows each one
+# collects: CSR entries, distinct undirected pairs or directed edges. At
+# or below it the whole loop is numpy on the driver; above it BFS, SSSP,
+# k-core and HITS run on state/spmv_pool.py. Read as
+# `config.DRIVER_LOCAL_ROWS` at call time, so setting it to 0 forces the
+# pool path everywhere.
+DRIVER_LOCAL_ROWS = 200_000

@@ -5,7 +5,6 @@ from parallel_louvain_method_ray.graph.build import (
     dedup_entries,
     build_graph,
     renumber,
-    degrees_dataset,
     graph_meta,
 )
 
@@ -18,6 +17,5 @@ __all__ = [
     "dedup_entries",
     "build_graph",
     "renumber",
-    "degrees_dataset",
     "graph_meta",
 ]

@@ -36,6 +36,7 @@ from parallel_louvain_method_ray.config import DEFAULT_CONFIG, EngineConfig
 from parallel_louvain_method_ray.graph.csr import (
     CSRShard,
     pack_shard_table,
+    shard_to_entries,
     unpack_shards,
 )
 
@@ -452,27 +453,29 @@ def graph_from_entry_arrays(
     )
 
 
-def degrees_dataset(graph: GraphHandle) -> ray.data.Dataset:
-    """Weighted degrees as a Dataset (vid, degree) — the Dataset-API view of
-    reference `weighted_degree` (`src/graph.cpp:238-247`)."""
-    ref = graph.degrees_ref
+def entries_dataset(graph: GraphHandle) -> ray.data.Dataset:
+    """The graph's (src, dst, weight) entry list as a Dataset, expanded
+    from its CSR shards (symmetrized and deduped, like `build_graph`'s
+    input to the pack)."""
 
-    def emit(batch: pa.Table) -> pa.Table:
-        out_v, out_d = [], []
+    def expand(batch: pa.Table) -> pa.Table:
+        out = []
         for shard in unpack_shards(batch):
-            out_v.append(shard.vids)
-            out_d.append(shard.degrees())
-        return pa.table(
-            {
-                "vid": np.concatenate(out_v) if out_v else np.empty(0, np.int64),
-                "degree": (
-                    np.concatenate(out_d) if out_d else np.empty(0, np.float64)
-                ),
-            }
+            s, d, w = shard_to_entries(shard)
+            out.append(pa.table({"src": s, "dst": d, "weight": w}))
+        return (
+            pa.concat_tables(out)
+            if out
+            else pa.table(
+                {
+                    "src": np.empty(0, np.int64),
+                    "dst": np.empty(0, np.int64),
+                    "weight": np.empty(0, np.float64),
+                }
+            )
         )
 
-    _ = ref
-    return graph.shards.map_batches(emit, batch_format="pyarrow")
+    return graph.shards.map_batches(expand, batch_format="pyarrow")
 
 
 def graph_meta(graph: GraphHandle) -> dict:

@@ -559,7 +559,11 @@ def rollup_aggregate(
     for lvl in range(1, len(keys) + 1):
         keep = keys[: len(keys) - lvl]
         if keep:
-            g = df.groupby(keep, as_index=False)[["n_rows", "sum_cents"]].sum()
+            # dropna=False: a NULL key is its own group (SQL ROLLUP), and
+            # stays NULL; only the rolled-up keys get `all_label`
+            g = df.groupby(keep, as_index=False, dropna=False)[
+                ["n_rows", "sum_cents"]
+            ].sum()
         else:
             g = pd.DataFrame(
                 {"n_rows": [df.n_rows.sum()], "sum_cents": [df.sum_cents.sum()]}

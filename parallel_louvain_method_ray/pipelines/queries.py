@@ -25,6 +25,7 @@ import ray.data
 
 from parallel_louvain_method_ray.algos.components import connected_components
 from parallel_louvain_method_ray.algos.louvain import (
+    _collect_entries,
     canonicalize_labels,
     louvain,
     modularity,
@@ -159,7 +160,7 @@ def q_degree_histogram(sf_dir: str):
     100 TB graph pipeline runs before choosing its partitioning. Distinct-
     neighbor degree, self-loops excluded, two-stage aggregate."""
     graph, raw = _graph_for(sf_dir)
-    src, dst, _w = _collect_graph_entries(graph)
+    src, dst, _w = _collect_entries(graph)
     nonself = src != dst
     k = np.bincount(src[nonself], minlength=graph.n).astype(np.int64)
     deg, cnt = np.unique(k, return_counts=True)
@@ -216,7 +217,7 @@ def q_clustering_coefficient(sf_dir: str):
     degree; vertices with k < 2 are excluded (undefined)."""
     graph, raw = _graph_for(sf_dir)
     per_vertex, _ = triangle_counts(graph)
-    src, dst, _w = _collect_graph_entries(graph)
+    src, dst, _w = _collect_entries(graph)
     nonself = src != dst
     k = np.bincount(src[nonself], minlength=graph.n).astype(np.int64)
     ok = k >= 2
@@ -2900,7 +2901,7 @@ def q_louvain_first_sweep(sf_dir: str):
     )
 
     graph, raw = _graph_for(sf_dir)
-    src, dst, w = _collect_graph_entries(graph)
+    src, dst, w = _collect_entries(graph)
     n = graph.n
     order = np.lexsort((w, dst, src))
     src, dst, w = src[order], dst[order], w[order]
@@ -2923,12 +2924,6 @@ def q_louvain_first_sweep(sf_dir: str):
         chunk=n,  # one chunk = pure synchronous sweep
     )
     return _t(vid=raw, comm=raw[assign])
-
-
-def _collect_graph_entries(graph):
-    from parallel_louvain_method_ray.algos.louvain import _collect_entries
-
-    return _collect_entries(graph)
 
 
 ORACLE_SQL["louvain_first_sweep"] = f"""

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 import ray.data
 
@@ -135,12 +136,10 @@ def queries_from_dataset(
     embeddings: ray.data.Dataset, ids: list[int]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fetch specific vec_ids as the query matrix (small side)."""
-    want = set(ids)
 
     def pick(batch: pa.Table) -> pa.Table:
-        v = batch.column("vec_id").to_numpy(zero_copy_only=False)
-        keep = [i for i, x in enumerate(v.tolist()) if x in want]
-        return batch.take(pa.array(keep, type=pa.int64()))
+        v = batch.column("vec_id")
+        return batch.filter(pc.is_in(v, value_set=pa.array(ids, type=v.type)))
 
     t = pa.concat_tables(
         [

@@ -28,7 +28,8 @@ round, never an O(V) array. Input-side scaling (`scale` in `sum_wave`)
 folds L1 normalization into the next wave's read.
 
 Partitioning assumption: vids are dense 0..n-1 and `v % P` spreads
-vertex state evenly. A high-in-degree hub's partials arrive
+vertex state evenly. `SpmvShard` raises ValueError on an edge endpoint
+or seed outside [0, n). A high-in-degree hub's partials arrive
 pre-combined per sender, so skew costs bandwidth on one combine, not
 Python time.
 """
@@ -169,12 +170,23 @@ class SpmvShard(_Shard):
         # "f" is homed by src, "r" by dst
         self.edges: dict[str, tuple] = {}
 
+    def _check(self, what: str, vids: np.ndarray) -> None:
+        """Raise ValueError unless every vid is in [0, n): `_local` would
+        wrap a negative vid onto another vertex's slot."""
+        if vids.size and (vids.min() < 0 or vids.max() >= self.n):
+            raise ValueError(
+                f"{what} out of range [0, {self.n}): "
+                f"[{vids.min()}, {vids.max()}]"
+            )
+
     def ingest(self, side: str, *parts) -> None:
         cols = _columns(parts, "s", "d", "w")
         if cols is None:
             e = np.empty(0, dtype=np.int64)
             cols = (e, e, np.empty(0, dtype=np.float64))
         s, d, w = cols
+        self._check("edge endpoint", s)
+        self._check("edge endpoint", d)
         mine, other = (s, d) if side == "f" else (d, s)
         self.edges[side] = (self._local(mine), other, w)
 
@@ -193,6 +205,7 @@ class SpmvShard(_Shard):
         """x = default everywhere, 0 at the seed vids homed here."""
         x = np.full(self.n_owned, float(default))
         s = np.asarray(seeds, dtype=np.int64)
+        self._check("seed", s)
         x[self._local(s[s % self.P == self.pid])] = 0.0
         self.vecs[name] = x
 
@@ -659,6 +672,17 @@ class SpmvPool:
         for a in self.actors:
             ray.kill(a)
         self.actors = []
+
+
+def to_dense(ds: ray.data.Dataset, n: int, fill, *cols: str) -> list[np.ndarray]:
+    """Scatter the named columns of a (vid, *cols) pool output into dense
+    length-n arrays (dtype of `fill`); vids absent from `ds` keep `fill`."""
+    out = [np.full(n, fill) for _ in cols]
+    for t in ds.iter_batches(batch_format="pyarrow"):
+        vid = t.column("vid").to_numpy(zero_copy_only=False)
+        for x, c in zip(out, cols):
+            x[vid] = t.column(c).to_numpy(zero_copy_only=False)
+    return out
 
 
 def hits_partitioned(

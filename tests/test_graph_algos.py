@@ -299,9 +299,12 @@ def test_kcore_bounded_peel_semantics():
     np.testing.assert_array_equal(alive1, [True] * 5)
 
 
-def test_hits_matches_dense_oracle():
+def test_hits_matches_dense_oracle(monkeypatch):
+    """The driver-local path, the SpmvPool path (gate forced to 0) and a
+    dense oracle agree."""
     import pyarrow as pa
     import ray.data
+    from parallel_louvain_method_ray import config
     from parallel_louvain_method_ray.algos.hits import hits
 
     rng = np.random.default_rng(4)
@@ -312,6 +315,9 @@ def test_hits_matches_dense_oracle():
         pa.table({"src": src, "dst": dst})
     ).repartition(3)
     h, a, _ = hits(edges, n, iters=4)
+    monkeypatch.setattr(config, "DRIVER_LOCAL_ROWS", 0)
+    h_pool, a_pool, meta = hits(edges, n, iters=4)
+    assert meta == {"iterations": 4}
     # dense oracle: same fixed-iteration L1-normalized recurrence
     A = np.zeros((n, n))
     for u, v in zip(src.tolist(), dst.tolist()):
@@ -322,15 +328,66 @@ def test_hits_matches_dense_oracle():
         ao /= ao.sum()
         ho = A @ ao
         ho /= ho.sum()
-    np.testing.assert_allclose(h, ho, atol=1e-12)
-    np.testing.assert_allclose(a, ao, atol=1e-12)
+    for hh, aa in ((h, a), (h_pool, a_pool)):
+        np.testing.assert_allclose(hh, ho, atol=1e-12)
+        np.testing.assert_allclose(aa, ao, atol=1e-12)
+    np.testing.assert_allclose(h_pool, h, atol=1e-12)
+    np.testing.assert_allclose(a_pool, a, atol=1e-12)
+
+
+@pytest.mark.parametrize("gate", [None, 0])
+def test_hits_rejects_out_of_range_endpoint(monkeypatch, gate):
+    """Both HITS paths raise ValueError on an endpoint outside [0, n):
+    driver-local (gate open) and SpmvPool (gate forced to 0)."""
+    import pyarrow as pa
+    import ray.data
+    from parallel_louvain_method_ray import config
+    from parallel_louvain_method_ray.algos.hits import hits
+
+    if gate is not None:
+        monkeypatch.setattr(config, "DRIVER_LOCAL_ROWS", gate)
+    for bad in (-1, 6):
+        edges = ray.data.from_arrow(
+            pa.table(
+                {
+                    "src": np.array([0, 1, 2, 3, bad], dtype=np.int64),
+                    "dst": np.array([1, 2, 3, 4, 0], dtype=np.int64),
+                }
+            )
+        )
+        with pytest.raises(ValueError):
+            hits(edges, 6, iters=2)
+
+
+@pytest.mark.parametrize("gate", [None, 0])
+def test_bfs_sssp_reject_out_of_range_seed(monkeypatch, gate):
+    """A seed outside [0, n) raises ValueError on both paths (numpy would
+    wrap -1 onto vertex n-1 on the driver-local one)."""
+    from parallel_louvain_method_ray import config
+    from parallel_louvain_method_ray.algos.bfs import bfs_distances, sssp_hops
+
+    if gate is not None:
+        monkeypatch.setattr(config, "DRIVER_LOCAL_ROWS", gate)
+    g = graph_from_entry_arrays(
+        np.array([0, 1, 2], dtype=np.int64),
+        np.array([1, 2, 3], dtype=np.int64),
+        np.ones(3),
+        EngineConfig(num_partitions=2),
+        n_vertices=4,
+    )
+    for bad in (-1, 4):
+        with pytest.raises(ValueError):
+            bfs_distances(g, np.array([0, bad]))
+        with pytest.raises(ValueError):
+            sssp_hops(g, np.array([bad]), hops=2)
 
 
 def test_bfs_sssp_parents_driver_local_matches_distributed(monkeypatch):
     """Small graphs route BFS/SSSP/parents to the driver-local CSR path;
     forcing the gate to 0 must reproduce identical results from the
-    distributed per-round kernels (unique fixpoint / same Jacobi rounds /
-    same min-vid parent rule)."""
+    SpmvPool rounds (unique fixpoint / same Jacobi rounds / same min-vid
+    parent rule)."""
+    from parallel_louvain_method_ray import config
     from parallel_louvain_method_ray.algos import bfs as bfs_mod
 
     src, dst, w = random_graph(70, 4, seed=33, weights=True)
@@ -341,7 +398,7 @@ def test_bfs_sssp_parents_driver_local_matches_distributed(monkeypatch):
     d_loc, _ = bfs_mod.bfs_distances(g, seeds)
     s_loc, _ = bfs_mod.sssp_hops(g, seeds, hops=3)
     p_loc, pd_loc, _ = bfs_mod.bfs_parents(g, root=0)
-    monkeypatch.setattr(bfs_mod, "_DRIVER_LOCAL_ENTRIES", 0)
+    monkeypatch.setattr(config, "DRIVER_LOCAL_ROWS", 0)
     d_dist, _ = bfs_mod.bfs_distances(g, seeds)
     s_dist, _ = bfs_mod.sssp_hops(g, seeds, hops=3)
     p_dist, pd_dist, _ = bfs_mod.bfs_parents(g, root=0)
@@ -353,11 +410,12 @@ def test_bfs_sssp_parents_driver_local_matches_distributed(monkeypatch):
 
 def test_kcore_bounded_driver_local_matches_distributed(monkeypatch):
     """Forcing the driver-local peel gate to 0 must reproduce identical
-    alive sets and round counts from the distributed per-round kernel
-    (same Jacobi semantics, including a pre-fixpoint rounds bound)."""
+    alive sets and round counts from the SpmvPool peel (same Jacobi
+    semantics, including a pre-fixpoint rounds bound)."""
     import pyarrow as pa
     import ray.data
 
+    from parallel_louvain_method_ray import config
     from parallel_louvain_method_ray.algos import kcore as kc
 
     rng = np.random.default_rng(12)
@@ -367,7 +425,7 @@ def test_kcore_bounded_driver_local_matches_distributed(monkeypatch):
     edges = ray.data.from_arrow(pa.table({"src": src, "dst": dst}))
     for k, rounds in ((3, 16), (3, 2), (5, 16)):
         a_loc, m_loc = kc.kcore_bounded(edges, n=80, k=k, rounds=rounds)
-        monkeypatch.setattr(kc, "_DRIVER_LOCAL_PAIRS", 0)
+        monkeypatch.setattr(config, "DRIVER_LOCAL_ROWS", 0)
         a_dist, m_dist = kc.kcore_bounded(edges, n=80, k=k, rounds=rounds)
         monkeypatch.undo()
         np.testing.assert_array_equal(a_loc, a_dist)

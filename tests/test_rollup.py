@@ -4,6 +4,7 @@ behavior."""
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data
 
 from parallel_louvain_method_ray.ops.analytics import rollup_aggregate
@@ -80,3 +81,26 @@ def test_rollup_levels_sum_consistently(ray_session):
         sub = out[out.grouping_level == lvl]
         assert sub.sum_cents.sum() == sum(c for _, _, c in rows)
         assert sub.n_rows.sum() == len(rows)
+
+
+def test_rollup_keeps_null_keys_at_every_level(ray_session):
+    # SQL ROLLUP: a NULL key is a group of its own at every level, so each
+    # level's counts and sums add up to the grand total
+    ds = ray.data.from_arrow(
+        pa.table(
+            {
+                "ka": pa.array(["x", "x", None, "y"], pa.string()),
+                "kb": pa.array(["p", "q", "p", "p"], pa.string()),
+                "cents": pa.array([1, 2, 4, 8], pa.int64()),
+            }
+        )
+    )
+    out = rollup_aggregate(ds, ["ka", "kb"], "cents")
+    for lvl in (0, 1, 2):
+        sub = out.filter(pc.equal(out.column("grouping_level"), lvl))
+        assert pc.sum(sub.column("n_rows")).as_py() == 4
+        assert pc.sum(sub.column("sum_cents")).as_py() == 15
+    mid = out.filter(pc.equal(out.column("grouping_level"), 1)).to_pylist()
+    null_row = [r for r in mid if r["ka"] is None]
+    assert len(null_row) == 1
+    assert null_row[0]["kb"] == "ALL" and null_row[0]["sum_cents"] == 4

@@ -294,3 +294,49 @@ def test_hits_joined_delegates_and_validates():
     out, info = hits_partitioned(edges, 20, iters=1, weight_col="n_anchors")
     assert out.count() == 20
     assert info["iterations"] == 1
+
+
+@pytest.mark.parametrize("P", [1, 2])
+def test_pool_rejects_out_of_range_vids(P):
+    """A vid outside [0, n) must raise ValueError at ingest / seed init:
+    `v - pid` for v = -1 is slice index -1, which numpy wraps onto the
+    last vid homed on actor P-1."""
+    from parallel_louvain_method_ray.state.spmv_pool import (
+        bfs_partitioned,
+        pagerank_partitioned,
+    )
+
+    n = 6
+    bad = ray.data.from_arrow(
+        pa.table(
+            {
+                "src": np.array([0, 1, 2, 3, -1], dtype=np.int64),
+                "dst": np.array([1, 2, 3, 4, 0], dtype=np.int64),
+                "weight": np.ones(5),
+            }
+        )
+    )
+    with pytest.raises(ValueError):
+        hits_partitioned(bad, n, iters=2, partitions=P)
+    with pytest.raises(ValueError):
+        pagerank_partitioned(bad, n, tol=0.0, max_iter=2, partitions=P)
+    too_big = ray.data.from_arrow(
+        pa.table(
+            {
+                "src": np.array([0, 1], dtype=np.int64),
+                "dst": np.array([1, n], dtype=np.int64),
+            }
+        )
+    )
+    with pytest.raises(ValueError):
+        hits_partitioned(too_big, n, iters=2, partitions=P)
+    ok = ray.data.from_arrow(
+        pa.table(
+            {
+                "src": np.array([0, 1, 2], dtype=np.int64),
+                "dst": np.array([1, 2, 3], dtype=np.int64),
+            }
+        )
+    )
+    with pytest.raises(ValueError):
+        bfs_partitioned(ok, n, seeds=[-1], partitions=P)
