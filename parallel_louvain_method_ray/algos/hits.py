@@ -30,7 +30,10 @@ def hits(
     dst_col: str = "dst",
     weight_col: str | None = None,
 ) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Returns (hubs float64[n], authorities float64[n], metrics)."""
+    """Returns (hubs float64[n], authorities float64[n], metrics).
+    Raises ValueError when iters < 1, on both paths."""
+    if iters < 1:
+        raise ValueError(f"hits: iters must be >= 1, got {iters}")
     edges = edges.materialize()
     if edges.count() > config.DRIVER_LOCAL_ROWS:
         out, _ = hits_partitioned(

@@ -63,11 +63,14 @@ def kcore_bounded(
     dst_col: str = "dst",
 ) -> tuple[np.ndarray, dict]:
     """Returns (alive bool[n] after exactly `rounds` synchronous peels —
-    or the earlier fixpoint, which is identical — and metrics)."""
+    or the earlier fixpoint, which is identical — and metrics). Both
+    paths raise ValueError on an endpoint outside [0, n)."""
     und = undirected_dedup(edges, src_col, dst_col).materialize()
     alive = np.zeros(n, dtype=bool)
     if und.count() > config.DRIVER_LOCAL_ROWS:
-        out, meta = kcore_peel_partitioned(und, k, rounds, src_col="a", dst_col="b")
+        out, meta = kcore_peel_partitioned(
+            und, k, rounds, src_col="a", dst_col="b", n=n
+        )
         for t in out.iter_batches(batch_format="pyarrow"):
             alive[t.column("vid").to_numpy(zero_copy_only=False)] = True
         return alive, {"rounds": meta["rounds"]}
@@ -78,6 +81,10 @@ def kcore_bounded(
         bts.append(t.column("b").to_numpy(zero_copy_only=False))
     a = np.concatenate(ats) if ats else np.empty(0, np.int64)
     b = np.concatenate(bts) if bts else np.empty(0, np.int64)
+    if a.size and (a.min() < 0 or b.max() >= n):  # a < b in every pair
+        raise ValueError(
+            f"kcore: endpoint out of range [0, {n}): [{a.min()}, {b.max()}]"
+        )
     alive[a] = True
     alive[b] = True
     done = 0

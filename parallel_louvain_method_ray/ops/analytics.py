@@ -532,8 +532,11 @@ def rollup_aggregate(
 ) -> pa.Table:
     """GROUP BY ROLLUP(keys...): count + integer sum at every prefix level
     of `keys`, coarser levels marked with `all_label` and a
-    `grouping_level` column (0 = finest, len(keys) = grand total) —
-    DuckDB's GROUPING() sum under coalesce(key, all_label).
+    `grouping_level` column (0 = finest, len(keys) = grand total). A NULL
+    key stays NULL, its own group at every level that keeps its column;
+    only rolled-up keys get `all_label`. So this is DuckDB's GROUPING()
+    sum under coalesce(key, all_label) only on non-null keys, as in the
+    revenue_rollup oracle.
 
     100 TB shape: ONE shuffle at the finest grain (Ray's groupby with
     partial combine), which collapses the fact table to |distinct key
@@ -559,8 +562,6 @@ def rollup_aggregate(
     for lvl in range(1, len(keys) + 1):
         keep = keys[: len(keys) - lvl]
         if keep:
-            # dropna=False: a NULL key is its own group (SQL ROLLUP), and
-            # stays NULL; only the rolled-up keys get `all_label`
             g = df.groupby(keep, as_index=False, dropna=False)[
                 ["n_rows", "sum_cents"]
             ].sum()

@@ -21,7 +21,11 @@ messages of its `src/distcommunity.cpp:387-545`) becomes one primitive:
   on actor q as top-level arguments, so Ray resolves them before the
   call. With a single actor the whole chain runs inside one actor call
   (`_Shard.chain`): there is nobody to exchange with, and each stage
-  would be an RPC of pure latency.
+  would be an RPC of pure latency;
+- buckets and actor outputs are dicts of numpy columns: the first Arrow
+  table an actor pickles or unpickles imports pandas and Ray Data there
+  (about 0.6 s per actor on one core), so a task (`_arrow`) builds the
+  output blocks.
 
 Driver state: P actor handles, P*P refs per stage and P scalars per
 round, never an O(V) array. Input-side scaling (`scale` in `sum_wave`)
@@ -29,7 +33,8 @@ folds L1 normalization into the next wave's read.
 
 Partitioning assumption: vids are dense 0..n-1 and `v % P` spreads
 vertex state evenly. `SpmvShard` raises ValueError on an edge endpoint
-or seed outside [0, n). A high-in-degree hub's partials arrive
+or seed outside [0, n), `PeelShard` on a negative one (or one >= n when
+the caller gives n). A high-in-degree hub's partials arrive
 pre-combined per sender, so skew costs bandwidth on one combine, not
 Python time.
 """
@@ -54,6 +59,25 @@ def _pool_size(rows: int, partitions: int | None = None) -> int:
         int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
     )
     return max(1, min(cpus // 2 or 1, rows // _ROWS_PER_ACTOR + 1))
+
+
+# (Ray node id, shard class) -> the emptied actors of the last finished
+# pool of that class. Booting an actor's process takes 0.7-0.9 s on one
+# core, more than a warm pool's whole BFS over an 855k-entry graph.
+_idle: dict = {}
+
+
+def _acquire(key: tuple, P: int, args: tuple) -> list:
+    """Shards 0..P-1 of a new pool: idle actors of class key[1] reset in
+    place, then new ones (also for any that died while idle)."""
+    actors: list = []
+    for a in _idle.pop(key, [])[:P]:
+        try:
+            ray.get(a.reset.remote(len(actors), P, *args))
+            actors.append(a)
+        except ray.exceptions.RayActorError:
+            pass
+    return actors + [key[1].remote(p, P, *args) for p in range(len(actors), P)]
 
 
 def _fanout(parts: list):
@@ -81,13 +105,12 @@ def _buckets(key: np.ndarray, P: int, build) -> list:
 
 
 def _columns(parts, *names) -> tuple | None:
-    """The named columns of the non-None partial tables, concatenated in
+    """The named columns of the non-None partial buckets, concatenated in
     sender order; None when every part is None."""
-    tabs = [t for t in parts if t is not None]
-    if not tabs:
+    parts = [p for p in parts if p is not None]
+    if not parts:
         return None
-    t = pa.concat_tables(tabs)
-    return tuple(t.column(c).to_numpy(zero_copy_only=False) for c in names)
+    return tuple(np.concatenate([p[c] for p in parts]) for c in names)
 
 
 def _group_sum(a: np.ndarray, b: np.ndarray, w: np.ndarray):
@@ -127,18 +150,38 @@ def _split_edges(
         _buckets(
             s if side == "f" else d,
             P,
-            lambda sel: pa.table({"s": s[sel], "d": d[sel], "w": w[sel]}),
+            lambda sel: {"s": s[sel], "d": d[sel], "w": w[sel]},
         )
     )
 
 
 class _Shard:
-    """What every pool actor shares: its partition id, the pool size, and
-    the in-actor chain that runs a one-actor exchange."""
+    """What every pool actor shares: its partition id, the pool size, the
+    vid bound n (None: no upper bound), and the in-actor chain that runs a
+    one-actor exchange."""
 
-    def __init__(self, pid: int, P: int) -> None:
+    def __init__(self, pid: int, P: int, n: int | None) -> None:
         self.pid = pid
         self.P = P
+        self.n = n
+
+    def reset(self, *args) -> None:
+        """Drop all state; given args, start over as that shard."""
+        self.__dict__.clear()
+        if args:
+            self.__init__(*args)
+
+    def _check(self, what: str, vids: np.ndarray) -> None:
+        """Raise ValueError unless every vid is in [0, n): `_local` would
+        wrap a negative vid onto another vertex's slot, and a caller's
+        dense `bool[n]` / `float[n]` scatter would wrap it too."""
+        if vids.size and (
+            vids.min() < 0 or (self.n is not None and vids.max() >= self.n)
+        ):
+            raise ValueError(
+                f"{what} out of range [0, {self.n}): "
+                f"[{vids.min()}, {vids.max()}]"
+            )
 
     def chain(self, stages, *parts):
         """Run the exchange's stages back to back: every bucket is
@@ -161,23 +204,15 @@ class SpmvShard(_Shard):
     exchange protocol."""
 
     def __init__(self, pid: int, P: int, n: int) -> None:
-        _Shard.__init__(self, pid, P)
-        self.n = n
+        _Shard.__init__(self, pid, P, n)
         # vids owned here: pid, pid+P, ... — dense local slice
         self.n_owned = max(0, (n - pid + P - 1) // P) if n > pid else 0
         self.vecs: dict[str, np.ndarray] = {}
         # side -> (local endpoint slice index, other endpoint vid, weight);
         # "f" is homed by src, "r" by dst
         self.edges: dict[str, tuple] = {}
-
-    def _check(self, what: str, vids: np.ndarray) -> None:
-        """Raise ValueError unless every vid is in [0, n): `_local` would
-        wrap a negative vid onto another vertex's slot."""
-        if vids.size and (vids.min() < 0 or vids.max() >= self.n):
-            raise ValueError(
-                f"{what} out of range [0, {self.n}): "
-                f"[{vids.min()}, {vids.max()}]"
-            )
+        # side -> how a wave's per-edge values group by `other` (_emit)
+        self.plans: dict[str, tuple] = {}
 
     def ingest(self, side: str, *parts) -> None:
         cols = _columns(parts, "s", "d", "w")
@@ -189,6 +224,17 @@ class SpmvShard(_Shard):
         self._check("edge endpoint", d)
         mine, other = (s, d) if side == "f" else (d, s)
         self.edges[side] = (self._local(mine), other, w)
+        # group the edges by output vid once, for every wave (_emit): the
+        # stable (other % P, other) order, one segment per distinct other,
+        # bucket q a contiguous run of segments
+        order = np.lexsort((other, other % self.P))
+        key = other[order]
+        new = np.ones(key.size, dtype=bool)
+        new[1:] = key[1:] != key[:-1]
+        starts = np.flatnonzero(new)
+        seg_key = key[starts]
+        bounds = np.searchsorted(seg_key % self.P, np.arange(self.P + 1))
+        self.plans[side] = (order, np.cumsum(new) - 1, starts, seg_key, bounds)
 
     # -- vector init and local (exchange-free) updates -------------------
 
@@ -245,29 +291,35 @@ class SpmvShard(_Shard):
 
     # -- sum and min waves (HITS, Katz, PageRank, CC, BFS, SSSP) ---------
 
-    def _emit(self, key: np.ndarray, c: np.ndarray, reduce_min: bool = False):
-        """Group contributions c by output vid (sum, or min) and bucket by
-        the vid's hash: P (v, c) tables."""
-
-        def build(sel):
-            uu, inv = np.unique(key[sel], return_inverse=True)
+    def _emit(self, side: str, c: np.ndarray, reduce_min: bool = False):
+        """Group the per-edge contributions c of side `side` by output vid
+        (sum, or min dropping infinite results) and bucket by the vid's
+        hash: P (v, c) buckets. A sum adds each vid's terms in edge order
+        (bincount), a min is order-free."""
+        order, seg_id, starts, seg_key, bounds = self.plans[side]
+        cs = c[order]
+        if reduce_min:
+            agg = np.minimum.reduceat(cs, starts) if cs.size else cs
+        else:
+            agg = np.bincount(seg_id, weights=cs, minlength=seg_key.size)
+        out = []
+        for q in range(self.P):
+            v = seg_key[bounds[q] : bounds[q + 1]]
+            x = agg[bounds[q] : bounds[q + 1]]
             if reduce_min:
-                agg = np.full(uu.size, np.inf)
-                np.minimum.at(agg, inv, c[sel])
-            else:
-                agg = np.bincount(inv, weights=c[sel])
-            return pa.table({"v": uu, "c": agg})
-
-        return _fanout(_buckets(key, self.P, build))
+                finite = np.isfinite(x)
+                v, x = v[finite], x[finite]
+            out.append({"v": v, "c": x} if v.size else None)
+        return _fanout(out)
 
     def sum_wave(self, name: str, scale: float, side: str):
         """Partials of y[other] += w * (scale * x[local]) over my
         side-`side` edges: y = A^T x on side "f", y = A x on side "r"."""
-        local, other, w = self.edges[side]
+        local, _, w = self.edges[side]
         xv = self.vecs[name][local]
         if scale != 1.0:
             xv = xv * scale
-        return self._emit(other, w * xv)
+        return self._emit(side, w * xv)
 
     def combine(self, name: str, *parts) -> float:
         """Sum my bucket's partials into the named slice; return the
@@ -283,14 +335,13 @@ class SpmvShard(_Shard):
         """Partials of cand[dst] = min over my by-src edges of
         x[src] (+ w | + 1 | + 0 per `plus` in {"weight","one","zero"}).
         Infinite sources are dropped (they can relax nothing)."""
-        local, other, w = self.edges["f"]
+        local, _, w = self.edges["f"]
         xv = self.vecs[name][local]
         if plus == "weight":
             xv = xv + w
         elif plus == "one":
             xv = xv + 1.0
-        finite = np.isfinite(xv)
-        return self._emit(other[finite], xv[finite], reduce_min=True)
+        return self._emit("f", xv, reduce_min=True)
 
     def combine_min(self, name: str, *parts) -> int:
         """x = min(x, partial mins); returns #strictly-improved slots
@@ -309,19 +360,19 @@ class SpmvShard(_Shard):
 
     def _request(self, vids: np.ndarray):
         """Distinct vids to look up, bucketed by their owner."""
-        return _fanout(_buckets(vids, self.P, lambda sel: pa.table({"l": vids[sel]})))
+        return _fanout(_buckets(vids, self.P, lambda sel: {"l": vids[sel]}))
 
     def _serve(self, parts, **vecs):
-        """Answer each requester's (l) table with my slices of `vecs` at
+        """Answer each requester's (l) bucket with my slices of `vecs` at
         those vids: one response per requester, in requester order."""
         resp = []
         for t in parts:
             if t is None:
                 resp.append(None)
                 continue
-            l = t.column("l").to_numpy(zero_copy_only=False)
+            l = t["l"]
             idx = self._local(l)
-            resp.append(pa.table({"l": l, **{k: v[idx] for k, v in vecs.items()}}))
+            resp.append({"l": l, **{k: v[idx] for k, v in vecs.items()}})
         return _fanout(resp)
 
     # -- pointer jump (CC doubling: label <- label(label)) ---------------
@@ -359,9 +410,7 @@ class SpmvShard(_Shard):
         return _buckets(
             s,
             self.P,
-            lambda sel: pa.table(
-                dict(zip(("s", "l", "w"), _group_sum(s[sel], l[sel], w[sel])))
-            ),
+            lambda sel: dict(zip(("s", "l", "w"), _group_sum(s[sel], l[sel], w[sel]))),
         )
 
     def _label_weights(self, parts):
@@ -422,7 +471,7 @@ class SpmvShard(_Shard):
             tot = np.zeros(uu.size)
             np.add.at(tot, inv, deg[sel])
             csize = np.bincount(inv, minlength=uu.size)
-            return pa.table({"c": uu, "t": tot, "s": csize.astype(np.int64)})
+            return {"c": uu, "t": tot, "s": csize.astype(np.int64)}
 
         return _fanout(
             list(zip(_buckets(c, self.P, stats), self._label_partials("asn")))
@@ -508,10 +557,10 @@ class SpmvShard(_Shard):
         asn[seg_si[accept]] = best[accept].astype(np.float64)
         return int(accept.sum())
 
-    def collect(self, spec: list[tuple]) -> pa.Table:
-        """My slice as (vid, *cols): spec entries are (vec_name, scale,
-        col) for float64 output or (vec_name, scale, col, "i8") to cast
-        the column to int64 (CC labels, BFS hop counts)."""
+    def collect(self, spec: list[tuple]) -> dict:
+        """My slice as (vid, *cols) columns: spec entries are (vec_name,
+        scale, col) for float64 output or (vec_name, scale, col, "i8") to
+        cast the column to int64 (CC labels, BFS hop counts)."""
         vids = np.arange(self.pid, self.n, self.P, dtype=np.int64)
         cols: dict[str, np.ndarray] = {"vid": vids}
         for entry in spec:
@@ -521,7 +570,7 @@ class SpmvShard(_Shard):
             if len(entry) > 3 and entry[3] == "i8":
                 x = x.astype(np.int64)
             cols[col] = x
-        return pa.table(cols)
+        return cols
 
 
 @ray.remote
@@ -537,8 +586,8 @@ class PeelShard(_Shard):
     monotonically, so a vertex removed at round s has deg_r <= deg_s < k
     for every later r."""
 
-    def __init__(self, pid: int, P: int, k: int) -> None:
-        _Shard.__init__(self, pid, P)
+    def __init__(self, pid: int, P: int, k: int, n: int | None) -> None:
+        _Shard.__init__(self, pid, P, n)
         self.k = int(k)
         self.u = np.empty(0, dtype=np.int64)
         self.v = np.empty(0, dtype=np.int64)
@@ -548,9 +597,11 @@ class PeelShard(_Shard):
     def ingest(self, side: str, *parts) -> None:
         """Keep the distinct (u, v) spokes of my bucket — the undirected
         distinct-edge semantics of kcore's `undirected_dedup` (every copy
-        of a pair lands here by construction)."""
+        of a pair lands here by construction). Every endpoint appears as a
+        spoke's u, so checking u checks them all."""
         cols = _columns(parts, "s", "d")
         if cols is not None:
+            self._check("edge endpoint", cols[0])
             self.u, self.v, _ = _group_sum(cols[0], cols[1], np.zeros(len(cols[0])))
 
     def count_wave(self):
@@ -568,7 +619,7 @@ class PeelShard(_Shard):
 
         def counts(sel):
             uu, cc = np.unique(self.u[sel], return_counts=True)
-            return pa.table({"u": uu, "c": cc.astype(np.int64)})
+            return {"u": uu, "c": cc.astype(np.int64)}
 
         return _fanout(_buckets(self.u, self.P, counts))
 
@@ -589,9 +640,9 @@ class PeelShard(_Shard):
         self.surv = uu[deg >= (self.k if thresh is None else thresh)]
         return int(uu.size), int(self.surv.size)
 
-    def survivors_table(self) -> pa.Table:
+    def survivors(self) -> dict:
         surv = self.surv if self.surv is not None else np.empty(0, np.int64)
-        return pa.table({"vid": surv.astype(np.int64)})
+        return {"vid": surv.astype(np.int64)}
 
 
 class SpmvPool:
@@ -599,8 +650,9 @@ class SpmvPool:
     `shard.remote(pid, P, *shard_args)`). Starting the pool scatters the
     edge table once, one split per entry of `sides` ("f" by src, "r" by
     dst, "u" as undirected spokes); every round after that is one
-    `exchange`. Use it as a context manager: the actors die on exit, so
-    drivers collect their output inside the block."""
+    `exchange`. Use it as a context manager and collect the output inside
+    the block: on a clean exit the actors are emptied and kept for the
+    next pool of the same class, on an error they die."""
 
     def __init__(
         self,
@@ -617,7 +669,8 @@ class SpmvPool:
         # undirected spokes are two partitioned rows per input edge
         rows = eds.count() * (2 if "u" in sides else 1)
         P = self.P = _pool_size(rows, partitions)
-        self.actors = [shard.remote(p, P, *shard_args) for p in range(P)]
+        self.idle_key = (ray.get_runtime_context().get_node_id(), shard)
+        self.actors = _acquire(self.idle_key, P, shard_args)
         blocks = [r for rb in eds.iter_internal_ref_bundles() for r, _ in rb.blocks]
         try:
             for side in sides:
@@ -631,7 +684,11 @@ class SpmvPool:
     def __enter__(self):
         return self
 
-    def __exit__(self, *exc):
+    def __exit__(self, exc_type, *exc):
+        if exc_type is None:
+            for a in self.actors:
+                a.reset.remote()
+            _idle[self.idle_key], self.actors = self.actors, []
         self.shutdown()
 
     def exchange(self, *stages: tuple, feed: list = ()) -> list:
@@ -662,16 +719,22 @@ class SpmvPool:
         return ray.get(inbound)
 
     def collect(self, spec: list[tuple]) -> ray.data.Dataset:
-        """Gather the named slices into a (vid, *cols) Dataset. Blocks are
-        materialized before the pool dies (from_arrow_refs blocks live in
-        the owning actor's object-store lifetime)."""
-        tabs = [a.collect.remote(list(spec)) for a in self.actors]
-        return ray.data.from_arrow_refs(tabs).materialize()
+        """Gather the named slices into a (vid, *cols) Dataset, one block
+        per actor."""
+        refs = [a.collect.remote(list(spec)) for a in self.actors]
+        return ray.data.from_arrow_refs([_arrow.remote(r) for r in refs])
 
     def shutdown(self) -> None:
         for a in self.actors:
             ray.kill(a)
         self.actors = []
+
+
+@ray.remote
+def _arrow(cols: dict) -> pa.Table:
+    """An actor's output columns as an Arrow block, built in a task so
+    the actor never pickles Arrow (see the module docstring)."""
+    return pa.table(cols)
 
 
 def to_dense(ds: ray.data.Dataset, n: int, fill, *cols: str) -> list[np.ndarray]:
@@ -983,14 +1046,17 @@ def kcore_peel_partitioned(
     src_col: str = "src",
     dst_col: str = "dst",
     partitions: int | None = None,
+    n: int | None = None,
 ) -> tuple[ray.data.Dataset, dict]:
     """k-core peel: returns (alive vid Dataset, {"rounds", "n_alive"}).
     Exactly `rounds` synchronous peels or the earlier fixpoint (identical
     by monotonicity); per-round semantics match `algos.kcore.
     kcore_bounded` bit for bit. One round is a count wave and a combine;
-    the driver sees two ints per actor."""
+    the driver sees two ints per actor. Vids need not be dense: ingest
+    raises ValueError on a negative endpoint, or on one >= n when n is
+    given."""
     with SpmvPool(
-        edges, PeelShard, k, sides=("u",), src_col=src_col, dst_col=dst_col,
+        edges, PeelShard, k, n, sides=("u",), src_col=src_col, dst_col=dst_col,
         partitions=partitions,
     ) as pool:
 
@@ -1017,18 +1083,13 @@ def kcore_peel_partitioned(
                 break
             n_prev = n_alive
 
-        alive_tabs = [
-            a.survivors_table.remote()
-            for a, c in zip(pool.actors, counts)
-            if c[1] > 0
+        alive_refs = [
+            a.survivors.remote() for a, c in zip(pool.actors, counts) if c[1] > 0
         ]
-        if alive_tabs:
-            alive = ray.data.from_arrow_refs(alive_tabs)
+        if alive_refs:
+            alive = ray.data.from_arrow_refs([_arrow.remote(r) for r in alive_refs])
         else:
             alive = ray.data.from_arrow(
                 pa.table({"vid": np.empty(0, dtype=np.int64)})
             )
-        # from_arrow_refs blocks live in the owning actor's object-store
-        # lifetime: materialize before the pool dies
-        alive = alive.materialize()
     return alive, {"rounds": done, "n_alive": n_alive}

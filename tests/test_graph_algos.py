@@ -301,7 +301,7 @@ def test_kcore_bounded_peel_semantics():
 
 def test_hits_matches_dense_oracle(monkeypatch):
     """The driver-local path, the SpmvPool path (gate forced to 0) and a
-    dense oracle agree."""
+    dense oracle agree, and both paths reject iters < 1."""
     import pyarrow as pa
     import ray.data
     from parallel_louvain_method_ray import config
@@ -315,9 +315,13 @@ def test_hits_matches_dense_oracle(monkeypatch):
         pa.table({"src": src, "dst": dst})
     ).repartition(3)
     h, a, _ = hits(edges, n, iters=4)
+    with pytest.raises(ValueError):
+        hits(edges, n, iters=0)
     monkeypatch.setattr(config, "DRIVER_LOCAL_ROWS", 0)
     h_pool, a_pool, meta = hits(edges, n, iters=4)
     assert meta == {"iterations": 4}
+    with pytest.raises(ValueError):
+        hits(edges, n, iters=0)
     # dense oracle: same fixed-iteration L1-normalized recurrence
     A = np.zeros((n, n))
     for u, v in zip(src.tolist(), dst.tolist()):
@@ -411,7 +415,8 @@ def test_bfs_sssp_parents_driver_local_matches_distributed(monkeypatch):
 def test_kcore_bounded_driver_local_matches_distributed(monkeypatch):
     """Forcing the driver-local peel gate to 0 must reproduce identical
     alive sets and round counts from the SpmvPool peel (same Jacobi
-    semantics, including a pre-fixpoint rounds bound)."""
+    semantics, including a pre-fixpoint rounds bound), and the same
+    ValueError on an out-of-range endpoint."""
     import pyarrow as pa
     import ray.data
 
@@ -430,3 +435,20 @@ def test_kcore_bounded_driver_local_matches_distributed(monkeypatch):
         monkeypatch.undo()
         np.testing.assert_array_equal(a_loc, a_dist)
         assert m_loc["rounds"] == m_dist["rounds"]
+    # both paths reject an endpoint outside [0, n): on the pool path a
+    # surviving vid -1 would otherwise mark vertex n-1 alive
+    for bad in (-1, 80):
+        e_bad = ray.data.from_arrow(
+            pa.table(
+                {
+                    "src": np.array([0, 1, 2, bad], dtype=np.int64),
+                    "dst": np.array([1, 2, 0, 0], dtype=np.int64),
+                }
+            )
+        )
+        for gate in (None, 0):
+            if gate is not None:
+                monkeypatch.setattr(config, "DRIVER_LOCAL_ROWS", gate)
+            with pytest.raises(ValueError):
+                kc.kcore_bounded(e_bad, n=80, k=1, rounds=4)
+            monkeypatch.undo()

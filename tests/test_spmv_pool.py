@@ -300,9 +300,11 @@ def test_hits_joined_delegates_and_validates():
 def test_pool_rejects_out_of_range_vids(P):
     """A vid outside [0, n) must raise ValueError at ingest / seed init:
     `v - pid` for v = -1 is slice index -1, which numpy wraps onto the
-    last vid homed on actor P-1."""
+    last vid homed on actor P-1. The peel rejects a negative vid always
+    and one >= n when given n."""
     from parallel_louvain_method_ray.state.spmv_pool import (
         bfs_partitioned,
+        kcore_peel_partitioned,
         pagerank_partitioned,
     )
 
@@ -340,3 +342,44 @@ def test_pool_rejects_out_of_range_vids(P):
     )
     with pytest.raises(ValueError):
         bfs_partitioned(ok, n, seeds=[-1], partitions=P)
+    with pytest.raises(ValueError):
+        kcore_peel_partitioned(bad, k=1, rounds=2, partitions=P)
+    with pytest.raises(ValueError):
+        kcore_peel_partitioned(too_big, k=1, rounds=2, n=n, partitions=P)
+    alive, _ = kcore_peel_partitioned(too_big, k=1, rounds=2, partitions=P)
+    assert alive.count() == 3
+
+
+def test_pool_reuses_idle_actors():
+    """A clean pool exit keeps its emptied actors for the next pool of the
+    same class, which resets them (same results as fresh actors); an actor
+    that died while idle is replaced, and a pool that fails keeps none."""
+    import ray
+
+    from parallel_louvain_method_ray.algos.hits import hits
+    from parallel_louvain_method_ray.state import spmv_pool as sp
+
+    n = 60
+    edges, *_ = _directed_edges(n=n)
+    hb, ab, _ = hits(edges, n, iters=3, weight_col="n_anchors")
+    sp._idle.clear()
+    for _ in range(2):
+        out, _ = hits_partitioned(
+            edges, n, iters=3, weight_col="n_anchors", partitions=2
+        )
+        np.testing.assert_allclose(_col(out, "hub"), hb, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(
+            _col(out, "authority"), ab, rtol=1e-12, atol=1e-15
+        )
+        (idle,) = sp._idle.values()
+        assert len(idle) == 2
+        idle.reverse()  # the next pool gives each actor the other pid
+    ray.kill(idle[0])
+    out, _ = hits_partitioned(edges, n, iters=3, weight_col="n_anchors", partitions=2)
+    np.testing.assert_allclose(_col(out, "hub"), hb, rtol=1e-12, atol=1e-15)
+    bad = ray.data.from_arrow(
+        pa.table({"src": np.array([0, -1]), "dst": np.array([1, 0])})
+    )
+    with pytest.raises(ValueError):
+        hits_partitioned(bad, n, iters=1, partitions=2)
+    assert sum(len(v) for v in sp._idle.values()) == 0
