@@ -23,12 +23,27 @@ Semantics transcribed from the reference's sequential `Communities`
   canonicalization; the reference's own distributed mode is
   rank-RNG/message-timing dependent, `src/distcommunity.cpp:221-234`).
 
+The canonical kernel is split in two. `sweep_plan` runs once per level
+and keeps what does not change within it: the self-loop-free entry list
+(cols, weights; views of the CSR when the shard has no self-loops), each
+chunk's offsets into it, the chunk-local row key base `row_local * C`
+(int32 when `chunk * C < 2**31`, else int64), `deg[vids]` and whether
+every weight is 1.0. It costs one key word per self-free entry (4 or
+8 B), 8 B per vertex, and a copy of cols and weights only when the CSR
+holds self-loops. `chunked_local_move_sweep` then pays, per chunk, one
+gather, one add and one sort-run pass (`_run_sums`) over the chunk's
+entries, and picks each row's best community with `_first_max`, the
+row-grouped first-of-maxima helper the LPA best-label kernel
+(`state/shard_pool.py`) shares.
+
 This module is pure numpy so the same kernel runs inside the sequential
 oracle, the driver-local Louvain levels AND the ShardPool workers
 (`state/shard_pool.py`) that run every distributed sweep.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,35 +55,134 @@ import numpy as np
 KERNEL_CHUNK = 256
 
 
-def chunked_local_move_sweep(
+@dataclass(slots=True)
+class SweepPlan:
+    """The per-level, comm-independent part of the chunked kernel (see the
+    module docstring). `chunks` lists `(a, b, lo, hi)`: vertex rows
+    `[a, b)` own self-free entries `[lo, hi)`; chunks without self-free
+    entries are left out. `dv` is None when the plan was built without
+    degrees (the LPA and intra-weight readers need none)."""
+
+    vids: np.ndarray
+    chunks: list
+    C: int
+    rk: np.ndarray
+    cols: np.ndarray
+    w: np.ndarray
+    dv: np.ndarray | None
+    unit: bool
+
+
+def sweep_plan(
     vids: np.ndarray,
     indptr: np.ndarray,
     cols: np.ndarray,
     weights: np.ndarray,
+    deg: np.ndarray | None,
+    chunk: int,
+    n_comm: int,
+    src: np.ndarray | None = None,
+) -> SweepPlan:
+    """Build the plan of one CSR range for `chunk`-vertex blocks over a
+    community id space of `n_comm` ids. `src` is the per-entry source vid
+    (`np.repeat(vids, np.diff(indptr))`); callers that already hold it
+    pass it so it is not rebuilt here."""
+    n_local = vids.shape[0]
+    counts = np.diff(indptr)
+    chunk = max(int(chunk), 1)  # chunk=n callers on an empty graph
+    C = int(n_comm)
+    kdt = np.int32 if chunk * C < 2**31 else np.int64
+    rk = np.repeat(
+        (np.arange(n_local, dtype=np.int64) % chunk * C).astype(kdt), counts
+    )
+    if src is None:
+        src = np.repeat(vids, counts)
+    keep = src != cols
+    del src
+    loops = np.flatnonzero(~keep)
+    starts = np.append(np.arange(0, n_local, chunk), n_local)
+    offs = indptr[starts]
+    if loops.shape[0]:
+        # self-free offset = CSR offset minus the self-loops before it
+        offs = offs - np.searchsorted(loops, offs)
+        rk, cols, weights = rk[keep], cols[keep], weights[keep]
+    offs = offs.tolist()
+    st = starts.tolist()
+    chunks = [
+        (st[i], st[i + 1], offs[i], offs[i + 1])
+        for i in range(len(st) - 1)
+        if offs[i] < offs[i + 1]
+    ]
+    unit = bool(weights.shape[0] == 0 or np.all(weights == 1.0))
+    dv = None if deg is None else deg[vids]
+    return SweepPlan(vids, chunks, C, rk, cols, weights, dv, unit)
+
+
+def _runs(vals: np.ndarray):
+    """Run-start mask, start index and length of each run of equal values
+    in the sorted, non-empty array `vals`."""
+    n = vals.shape[0]
+    new = np.empty(n, dtype=bool)
+    new[0] = True
+    np.not_equal(vals[1:], vals[:-1], out=new[1:])
+    starts = new.nonzero()[0]
+    lens = np.empty(starts.shape[0], dtype=np.int64)
+    lens[:-1] = starts[1:] - starts[:-1]
+    lens[-1] = n - starts[-1]
+    return new, starts, lens
+
+
+def _run_sums(key: np.ndarray, w: np.ndarray | None):
+    """Distinct keys of `key` in ascending order and each key's summed
+    weight (its entry count when `w` is None, i.e. unit weights). The
+    weighted path sorts stably and bincounts run ids in sorted order, so
+    each key's weights are added in input order: the same float sums as
+    `np.bincount(np.unique(key, return_inverse=True)[1], weights=w)`."""
+    if w is None:
+        sk = np.sort(key)
+    else:
+        order = np.argsort(key, kind="stable")
+        sk = key[order]
+    new, starts, lens = _runs(sk)
+    if w is None:
+        ksum = lens.astype(np.float64)
+    else:
+        ksum = np.bincount(
+            np.cumsum(new) - 1, weights=w[order], minlength=starts.shape[0]
+        )
+    return sk[starts], ksum
+
+
+def _first_max(vals: np.ndarray, best: np.ndarray, starts, lens) -> np.ndarray:
+    """Index of the first element equal to its group's maximum `best`, per
+    group `[starts[i], starts[i] + lens[i])` of `vals`. Groups sorted by a
+    secondary key make this the smallest key among the tied maxima."""
+    n = vals.shape[0]
+    pos = np.where(vals == np.repeat(best, lens), np.arange(n), n)
+    return np.minimum.reduceat(pos, starts)
+
+
+def chunked_local_move_sweep(
+    plan: SweepPlan,
     comm: np.ndarray,
     tot: np.ndarray,
-    deg: np.ndarray,
     m2: float,
     csize: np.ndarray | None = None,
-    chunk: int = 64,
     undo_log: list | None = None,
-    unit_weights: bool = False,
 ) -> int:
-    """Vectorized variant of the canonical local-move sweep: Jacobi within a
-    `chunk`-vertex block (one np.unique + one lexsort per block), strict
-    Gauss-Seidel ACROSS blocks. Same gain formula, same keep-on-tie /
-    min-comm-id / singleton-guard rules as `local_move_sweep`; the only
-    semantic difference is that moves within one block are decided against
-    the block-start state (the distributed BSP already accepts exactly this
+    """Vectorized variant of the canonical local-move sweep over the rows
+    of `plan`: Jacobi within a chunk-vertex block, strict Gauss-Seidel
+    ACROSS blocks. Same gain formula, same keep-on-tie / min-comm-id /
+    singleton-guard rules as `local_move_sweep`; the only semantic
+    difference is that moves within one block are decided against the
+    block-start state (the distributed BSP already accepts exactly this
     staleness between partitions). ~20x faster than the per-vertex loop —
     used by the ShardPool workers in canonical mode.
 
-    `unit_weights=True` promises every entry weight is exactly 1.0 (the
-    common case on deduped web link graphs — the builder collapses
-    duplicate (src,dst) pairs instead of summing them): the kernel then
-    never touches the weights array (one less 8 B/entry DRAM stream on a
-    bandwidth-bound sweep) and accumulates neighbor-community weights as
-    plain bincount COUNTS — bit-identical to summing 1.0s in float64.
+    Per block, key = row_local * C + comm[nbr]; the sort-run pass yields
+    each (row, community) pair's neighbor weight in (row, comm) order.
+    Own-community runs are masked to -inf, so one `maximum.reduceat` per
+    row gives the best candidate gain and `_first_max` its smallest comm.
 
     `undo_log`: when a list is passed, every chunk that applies moves first
     appends `(touched_ids, tot_pre_values, csize_pre_values)` — the EXACT
@@ -78,71 +192,37 @@ def chunked_local_move_sweep(
     copies per sweep that dominated DRAM traffic at large n (`comm` is
     restored by the caller from its own per-shard `before` snapshot).
     """
-    n_local = vids.shape[0]
-    if n_local == 0:
-        return 0
-    counts = np.diff(indptr)
+    if plan.dv is None:
+        raise ValueError("chunked_local_move_sweep: plan built without deg")
+    vids, rk, cols, C = plan.vids, plan.rk, plan.cols, plan.C
+    w = None if plan.unit else plan.w
     moves = 0
-    C = np.int64(comm.shape[0])
-    for a in range(0, n_local, chunk):
-        b = min(a + chunk, n_local)
-        lo, hi = indptr[a], indptr[b]
-        if lo == hi:
-            continue
-        rows_local = np.repeat(np.arange(b - a, dtype=np.int64), counts[a:b])
+    for a, b, lo, hi in plan.chunks:
         v_rows = vids[a:b]
-        nbr = cols[lo:hi]
-        w = None if unit_weights else weights[lo:hi]
-        blk_counts = counts[a:b]
         own = comm[v_rows]
-        dv = deg[v_rows]
+        dv = plan.dv[a:b]
+        uk, ksum = _run_sums(
+            rk[lo:hi] + comm[cols[lo:hi]], None if w is None else w[lo:hi]
+        )
+        rows_k = uk // C
+        comms_k = uk - rows_k * C
 
-        self_mask = nbr != np.repeat(v_rows, blk_counts)
-        rows_e = rows_local[self_mask]
-        ncomm = comm[nbr[self_mask]]
-
-        key = rows_e * C + ncomm
-        uk, inv = np.unique(key, return_inverse=True)
-        if unit_weights:
-            # all weights are exactly 1.0: plain counts ARE the sums
-            ksum = np.bincount(inv, minlength=uk.shape[0]).astype(np.float64)
-        else:
-            we = w[self_mask]
-            # bincount over the inverse index accumulates the same sums as
-            # np.add.at in the same (input) order at memcpy speed
-            ksum = np.bincount(inv, weights=we, minlength=uk.shape[0])
-        rows_k = (uk // C).astype(np.int64)
-        comms_k = (uk % C).astype(np.int64)
-
-        is_own = comms_k == own[rows_k]
+        own_runs = (comms_k == own[rows_k]).nonzero()[0]
         k_own = np.zeros(b - a, dtype=np.float64)
-        k_own[rows_k[is_own]] = ksum[is_own]
+        k_own[rows_k[own_runs]] = ksum[own_runs]
         gain_own = k_own - (tot[own] - dv) * dv / m2
         thr = np.maximum(gain_own, 0.0)
 
-        cand = ~is_own
-        if not cand.any():
-            continue
-        rows_c = rows_k[cand]
-        comms_c = comms_k[cand]
-        gains_c = ksum[cand] - tot[comms_c] * (dv[rows_c] / m2)
-
-        # per-row argmax with (gain desc, comm asc) priority. uk is sorted,
-        # so (rows_c, comms_c) is lexicographically sorted already: the
-        # per-row max gain comes from one maximum.reduceat, and the FIRST
-        # index attaining it within the row segment IS the smallest comm
-        # among the tied maxima — no lexsort (the old 3-key float lexsort
-        # was 60% of the whole kernel).
-        starts = np.flatnonzero(np.r_[True, rows_c[1:] != rows_c[:-1]])
-        seg_len = np.diff(np.r_[starts, rows_c.shape[0]])
-        best_gains = np.maximum.reduceat(gains_c, starts)
-        is_max = gains_c == np.repeat(best_gains, seg_len)
-        pos = np.where(is_max, np.arange(rows_c.shape[0]), rows_c.shape[0])
-        first_idx = np.minimum.reduceat(pos, starts)
-        best_rows = rows_c[starts]
-        best_comms = comms_c[first_idx]
-
+        # (dv / m2)[rows_k] is elementwise dv[rows_k] / m2
+        gains = ksum - tot[comms_k] * (dv / m2)[rows_k]
+        gains[own_runs] = -np.inf
+        _, starts, lens = _runs(rows_k)
+        best_gains = np.maximum.reduceat(gains, starts)
+        best_rows = rows_k[starts]
         accept = best_gains > thr[best_rows]
+        if not accept.any():
+            continue
+        best_comms = comms_k[_first_max(gains, best_gains, starts, lens)]
         if csize is not None:
             # singleton-swap guard (see local_move_sweep)
             guard = (

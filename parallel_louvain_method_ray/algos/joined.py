@@ -39,7 +39,10 @@ import ray
 import ray.data
 from ray.data.aggregate import Sum
 
-from parallel_louvain_method_ray.algos._local_move import chunked_local_move_sweep
+from parallel_louvain_method_ray.algos._local_move import (
+    chunked_local_move_sweep,
+    sweep_plan,
+)
 from parallel_louvain_method_ray.graph.build import entries_dataset, join_partitions
 from parallel_louvain_method_ray.state.spmv_pool import louvain_level_partitioned
 
@@ -446,15 +449,15 @@ def louvain_jacobi_numpy(
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
         deg = np.bincount(src, weights=w, minlength=n)
+        plan = sweep_plan(
+            np.arange(n, dtype=np.int64), indptr, dst, w, deg, n, n, src=src
+        )
         assign = np.arange(n, dtype=np.int64)
         total_moves = 0
         for _ in range(max_sweeps):
             tot = np.bincount(assign, weights=deg, minlength=n)
             csize = np.bincount(assign, minlength=n)
-            moves = chunked_local_move_sweep(
-                np.arange(n, dtype=np.int64), indptr, dst, w,
-                assign, tot, deg, m2, csize=csize, chunk=n,
-            )
+            moves = chunked_local_move_sweep(plan, assign, tot, m2, csize=csize)
             total_moves += moves
             if moves == 0:
                 break

@@ -6,16 +6,17 @@ the SQL oracle unrolls, so an exact `rounds` bound gives identical results
 on BOTH sides even when peeling has not converged yet (removal is
 monotone, so extra rounds past the fixpoint are no-ops).
 
-`kcore_bounded` dedupes the undirected edge set once (one groupby
-shuffle), then takes one of two paths by its pair count against
-`config.DRIVER_LOCAL_ROWS`:
+`kcore_bounded` takes one of two paths by the raw edge count (an upper
+bound on the distinct pairs) against `config.DRIVER_LOCAL_ROWS`:
 
-- at or below it, the pairs are collected and every round is two
-  `np.bincount` calls on the driver;
-- above it, `state.spmv_pool.kcore_peel_partitioned` peels the deduped
-  pairs on the pool, where each vertex's spokes and survivor flag live
-  on the actor that owns the vertex, and the surviving vids come back as
-  the same `bool[n]` mask. Parity of the two paths is pinned in
+- at or below it, the edges are collected, normalised to (min, max)
+  pairs without self-loops and deduped with `np.unique` on the driver,
+  and every round is two `np.bincount` calls;
+- above it, `state.spmv_pool.kcore_peel_partitioned` peels the raw
+  edges on the pool: its side "u" split drops self-loops and emits both
+  directions, each vertex's actor dedups its own spokes, and the
+  surviving vids come back as the same `bool[n]` mask. No distinct-pair
+  shuffle runs on either path. Parity of the two paths is pinned in
   tests/test_graph_algos.py and tests/test_joined_path.py."""
 
 from __future__ import annotations
@@ -65,26 +66,31 @@ def kcore_bounded(
     """Returns (alive bool[n] after exactly `rounds` synchronous peels —
     or the earlier fixpoint, which is identical — and metrics). Both
     paths raise ValueError on an endpoint outside [0, n)."""
-    und = undirected_dedup(edges, src_col, dst_col).materialize()
+    edges = edges.materialize()
     alive = np.zeros(n, dtype=bool)
-    if und.count() > config.DRIVER_LOCAL_ROWS:
+    if edges.count() > config.DRIVER_LOCAL_ROWS:
         out, meta = kcore_peel_partitioned(
-            und, k, rounds, src_col="a", dst_col="b", n=n
+            edges, k, rounds, src_col=src_col, dst_col=dst_col, n=n
         )
         for t in out.iter_batches(batch_format="pyarrow"):
             alive[t.column("vid").to_numpy(zero_copy_only=False)] = True
         return alive, {"rounds": meta["rounds"]}
-    ats, bts = [], []
-    for batch in und.iter_batches(batch_format="pyarrow"):
-        t = pa.table(batch)
-        ats.append(t.column("a").to_numpy(zero_copy_only=False))
-        bts.append(t.column("b").to_numpy(zero_copy_only=False))
-    a = np.concatenate(ats) if ats else np.empty(0, np.int64)
-    b = np.concatenate(bts) if bts else np.empty(0, np.int64)
-    if a.size and (a.min() < 0 or b.max() >= n):  # a < b in every pair
+    ss, ds = [], []
+    for t in edges.iter_batches(batch_format="pyarrow"):
+        ss.append(t.column(src_col).to_numpy(zero_copy_only=False))
+        ds.append(t.column(dst_col).to_numpy(zero_copy_only=False))
+    s = np.concatenate(ss).astype(np.int64) if ss else np.empty(0, np.int64)
+    d = np.concatenate(ds).astype(np.int64) if ds else np.empty(0, np.int64)
+    keep = s != d
+    a = np.minimum(s[keep], d[keep])
+    b = np.maximum(s[keep], d[keep])
+    if a.size and (a.min() < 0 or b.max() >= n):
         raise ValueError(
             f"kcore: endpoint out of range [0, {n}): [{a.min()}, {b.max()}]"
         )
+    # distinct undirected pairs (the semantics of undirected_dedup)
+    pairs = np.unique(np.stack([a, b], axis=1), axis=0)
+    a, b = pairs[:, 0], pairs[:, 1]
     alive[a] = True
     alive[b] = True
     done = 0

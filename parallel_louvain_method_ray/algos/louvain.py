@@ -44,6 +44,7 @@ from parallel_louvain_method_ray.algos._local_move import (
     KERNEL_CHUNK,
     chunked_local_move_sweep,
     local_move_sweep,
+    sweep_plan,
 )
 from parallel_louvain_method_ray.config import DEFAULT_CONFIG, EngineConfig
 from parallel_louvain_method_ray.graph.build import (
@@ -252,6 +253,16 @@ def _collect_entries(graph: GraphHandle):
     return np.concatenate(srcs), np.concatenate(dsts), np.concatenate(ws)
 
 
+def _sorted_entries(entries: list) -> tuple:
+    """The [src, dst, w] entry arrays in (src, dst, w) order. Sorts the
+    list in place, so each input array is freed as soon as its sorted copy
+    exists when the list holds the only reference."""
+    order = np.lexsort(entries[::-1])
+    for i in range(3):
+        entries[i] = entries[i][order]
+    return tuple(entries)
+
+
 def _driver_level(
     graph: GraphHandle,
     cfg: EngineConfig,
@@ -268,9 +279,7 @@ def _driver_level(
     sequential local moves converge strictly). Returns the collected entry
     arrays too so the caller can coarsen without another collect."""
     n = graph.n
-    src, dst, w = _collect_entries(graph)
-    order = np.lexsort((w, dst, src))
-    src, dst, w = src[order], dst[order], w[order]
+    src, dst, w = _sorted_entries(list(_collect_entries(graph)))
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
     vids = np.arange(n, dtype=np.int64)
@@ -303,12 +312,14 @@ def _driver_level(
     # sweeps — measured better than the chunked kernel even on heavy
     # coarse levels); vectorized chunked kernel above
     use_chunked = tie_break == "canonical" and n > 20_000
+    plan = (
+        sweep_plan(vids, indptr, dst, w, deg, KERNEL_CHUNK, n, src=src)
+        if use_chunked
+        else None
+    )
     for sweep in range(start_sweep, cfg.max_sweeps):
         if use_chunked:
-            moves = chunked_local_move_sweep(
-                vids, indptr, dst, w, assign, tot, deg, m2,
-                csize=csize, chunk=KERNEL_CHUNK,
-            )
+            moves = chunked_local_move_sweep(plan, assign, tot, m2, csize=csize)
         else:
             moves = local_move_sweep(
                 vids, indptr, dst, w, assign, tot, deg, m2,
@@ -379,11 +390,10 @@ def _polish(
             # anyway — only forced when that pass will use the pool too.
             if pool.graph is not graph0:
                 pool.reload(graph0)
-            src, dst, w = pool.collect_entries()
+            entries = list(pool.collect_entries())
         else:
-            src, dst, w = _collect_entries(graph0)
-        order = np.lexsort((w, dst, src))
-        src, dst, w = src[order], dst[order], w[order]
+            entries = list(_collect_entries(graph0))
+        src, dst, w = _sorted_entries(entries)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
 
@@ -397,15 +407,14 @@ def _polish(
         assign = membership.copy()
         tot = np.bincount(assign, weights=deg, minlength=n)
         csize = np.bincount(assign, minlength=n)
-        vids = np.arange(n, dtype=np.int64)
+        # chunk=16: near-Gauss-Seidel quality at vectorized-kernel speed
+        # (the per-vertex strict loop costs seconds at bench scale for
+        # ~the same refinement)
+        plan = sweep_plan(
+            np.arange(n, dtype=np.int64), indptr, dst, w, deg, 16, n, src=src
+        )
         for _ in range(cfg.polish_sweeps):
-            # chunk=16: near-Gauss-Seidel quality at vectorized-kernel
-            # speed (the per-vertex strict loop costs seconds at bench
-            # scale for ~the same refinement)
-            moves = chunked_local_move_sweep(
-                vids, indptr, dst, w, assign, tot, deg, m2,
-                csize=csize, chunk=16,
-            )
+            moves = chunked_local_move_sweep(plan, assign, tot, m2, csize=csize)
             if moves == 0:
                 break
         return assign if q_of(assign) > q0 else membership

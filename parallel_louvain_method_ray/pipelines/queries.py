@@ -2898,6 +2898,7 @@ def q_louvain_first_sweep(sf_dir: str):
     Oracle-checks the engine's gain arithmetic end-to-end."""
     from parallel_louvain_method_ray.algos._local_move import (
         chunked_local_move_sweep,
+        sweep_plan,
     )
 
     graph, raw = _graph_for(sf_dir)
@@ -2911,18 +2912,11 @@ def q_louvain_first_sweep(sf_dir: str):
     assign = np.arange(n, dtype=np.int64)
     tot = deg.copy()
     csize = np.ones(n, dtype=np.int64)
-    chunked_local_move_sweep(
-        np.arange(n, dtype=np.int64),
-        indptr,
-        dst,
-        w,
-        assign,
-        tot,
-        deg,
-        2.0 * graph.m,
-        csize=csize,
-        chunk=n,  # one chunk = pure synchronous sweep
+    # one chunk = pure synchronous sweep
+    plan = sweep_plan(
+        np.arange(n, dtype=np.int64), indptr, dst, w, deg, n, n, src=src
     )
+    chunked_local_move_sweep(plan, assign, tot, 2.0 * graph.m, csize=csize)
     return _t(vid=raw, comm=raw[assign])
 
 

@@ -17,6 +17,15 @@ within KERNEL_CHUNK-vertex blocks); in "reference" tie-break mode they run
 the strict per-vertex `local_move_sweep`, so a one-shard graph is
 bit-identical to the sequential oracle. Callers that hold no pool get an
 owned one through `pool_for`.
+
+Each worker keeps one `SweepPlan` per loaded shard (`_sweep_plans`), built
+on first use after `load` and dropped by the next `load`. The Louvain
+sweep, the LPA best label and the intra-community weight all read its
+self-loop-free entries and chunk-local row keys, so no round repeats the
+CSR rows or re-masks self-loops. Its memory per worker is one 4 B key per
+self-free entry (8 B when KERNEL_CHUNK * n >= 2**31), 8 B per vertex for
+`deg[vids]`, and a copy of cols and weights only on shards holding
+self-loops (contracted levels).
 """
 
 from __future__ import annotations
@@ -29,41 +38,42 @@ import ray
 
 from parallel_louvain_method_ray.algos._local_move import (
     KERNEL_CHUNK,
+    _first_max,
+    _run_sums,
+    _runs,
     chunked_local_move_sweep,
     local_move_sweep,
+    sweep_plan,
 )
 from parallel_louvain_method_ray.graph.csr import shard_to_entries, unpack_shards
 
 
-def _best_labels_for_shard(shard, lab: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized per-row weighted label argmax with (max weight, min label)
-    tie-break. Returns (row_best_label, row_best_weight)."""
-    counts = np.diff(shard.indptr)
-    row_idx = np.repeat(np.arange(shard.vids.shape[0]), counts)
-    src = np.repeat(shard.vids, counts)
-    mask = src != shard.cols
-    row_idx = row_idx[mask]
-    nlab = lab[shard.cols[mask]]
-    w = shard.weights[mask]
-
-    # aggregate weight per (row, label)
-    key = row_idx * np.int64(lab.max() + 2) + nlab  # label ids < lab.max()+1
-    uk, inv = np.unique(key, return_inverse=True)
-    wsum = np.zeros(uk.shape[0], dtype=np.float64)
-    np.add.at(wsum, inv, w)
-    rows = uk // np.int64(lab.max() + 2)
-    labs = uk % np.int64(lab.max() + 2)
-
-    # per-row argmax: sort by (row asc, weight desc, label asc), take first
-    order = np.lexsort((labs, -wsum, rows))
-    rows_o, labs_o, w_o = rows[order], labs[order], wsum[order]
-    first = np.ones(rows_o.shape[0], dtype=bool)
-    first[1:] = rows_o[1:] != rows_o[:-1]
-    out_lab = np.full(shard.vids.shape[0], -1, dtype=np.int64)
-    out_w = np.zeros(shard.vids.shape[0], dtype=np.float64)
-    out_lab[rows_o[first]] = labs_o[first]
-    out_w[rows_o[first]] = w_o[first]
-    return out_lab, out_w
+def _best_labels_for_shard(plan, lab: np.ndarray):
+    """Per-row weighted label argmax with (max weight, min label) tie-break
+    over the self-free entries of `plan`, on the sort-run path of the
+    local-move kernel (labels must be < plan.C). Returns (row_best_label,
+    row_best_weight, row_weight_of_its_current_label); a row without a
+    self-free entry gets label -1 and weights 0."""
+    n_local = plan.vids.shape[0]
+    out_lab = np.full(n_local, -1, dtype=np.int64)
+    out_w = np.zeros(n_local, dtype=np.float64)
+    cur_w = np.zeros(n_local, dtype=np.float64)
+    rk, cols, C = plan.rk, plan.cols, plan.C
+    w = None if plan.unit else plan.w
+    for a, b, lo, hi in plan.chunks:
+        uk, wsum = _run_sums(
+            rk[lo:hi] + lab[cols[lo:hi]], None if w is None else w[lo:hi]
+        )
+        rows = uk // C
+        labs = uk - rows * C
+        _, starts, lens = _runs(rows)
+        best = np.maximum.reduceat(wsum, starts)
+        r = rows[starts] + a
+        out_lab[r] = labs[_first_max(wsum, best, starts, lens)]
+        out_w[r] = best
+        is_cur = labs == lab[plan.vids[a:b]][rows]
+        cur_w[rows[is_cur] + a] = wsum[is_cur]
+    return out_lab, out_w, cur_w
 
 
 @ray.remote(num_cpus=0)
@@ -147,6 +157,7 @@ class ShardWorker:
         self._csize = None
         self._pr_cache = None  # flattened (src, cols, w) for pagerank_iter
         self._pr_idx = None  # sharded-power-iteration index (pr_index)
+        self._plans = None  # per-shard SweepPlan, built by _sweep_plans
         keep = set(keep_rows)
         self.shards = []
         gidx = 0
@@ -159,14 +170,6 @@ class ShardWorker:
                 sub = block.take(pa.array(rows, type=pa.int64()))
                 self.shards.extend(unpack_shards(sub))
             gidx += block.num_rows
-        # unit-weight detection, once per level: deduped link graphs have
-        # every entry weight == 1.0, letting the sweep kernel skip the
-        # weights stream entirely (8 B/entry of DRAM traffic on a
-        # bandwidth-bound kernel) and use count-bincounts
-        self._unit_w = [
-            bool(sh.weights.shape[0] == 0 or np.all(sh.weights == 1.0))
-            for sh in self.shards
-        ]
         # int32 CSR ids when they fit: the sweep kernels are memory-
         # bandwidth-bound (random gathers over cols/vids), so halving the
         # id width is a direct throughput win (BASELINE.md scaling note).
@@ -185,6 +188,24 @@ class ShardWorker:
                     sh.weights,
                 )
         return True
+
+    def _sweep_plans(self, n: int, deg=None) -> list:
+        """One `sweep_plan` per loaded shard, built on first use after
+        `load` (the LPA and intra-weight readers need no degrees; the
+        first Louvain sweep attaches `deg[vids]`, constant for the level)."""
+        if self._plans is None:
+            self._plans = [
+                sweep_plan(
+                    sh.vids, sh.indptr, sh.cols, sh.weights, deg,
+                    KERNEL_CHUNK, n,
+                )
+                for sh in self.shards
+            ]
+        elif deg is not None:
+            for p in self._plans:
+                if p.dv is None:
+                    p.dv = deg[p.vids]
+        return self._plans
 
     def louvain_sweep(
         self, assign_in, deg, m2: float, tie_break: str,
@@ -258,6 +279,7 @@ class ShardWorker:
         # PER WORKER (~600 MB at n=51M), pure DRAM traffic that rivaled the
         # kernel's own and killed the 8->32 CPU sweep ratio at mult=1280.
         tot0 = tot.copy() if not canonical else None
+        plans = self._sweep_plans(n, deg) if canonical else None
         for si, shard in enumerate(self.shards):
             if not canonical:
                 # reference-mode GS perturbs tot even for non-movers
@@ -269,18 +291,7 @@ class ShardWorker:
             if canonical:
                 undo_log: list = []
                 chunked_local_move_sweep(
-                    shard.vids,
-                    shard.indptr,
-                    shard.cols,
-                    shard.weights,
-                    assign,
-                    tot,
-                    deg,
-                    m2,
-                    csize=csize,
-                    chunk=KERNEL_CHUNK,
-                    undo_log=undo_log,
-                    unit_weights=self._unit_w[si],
+                    plans[si], assign, tot, m2, csize=csize, undo_log=undo_log
                 )
             else:
                 local_move_sweep(
@@ -345,12 +356,19 @@ class ShardWorker:
         return True
 
     def intra_weight(self, assign) -> float:
+        """Weight of the self-free entries whose endpoints share a
+        community, summed per shard over the same elements in the same
+        order as a mask over the full CSR would."""
         s = 0.0
-        for shard in self.shards:
-            counts = np.diff(shard.indptr)
-            src = np.repeat(shard.vids, counts)
-            mask = (src != shard.cols) & (assign[src] == assign[shard.cols])
-            s += float(shard.weights[mask].sum())
+        for p in self._sweep_plans(assign.shape[0]):
+            same = np.empty(p.cols.shape[0], dtype=bool)
+            for a, b, lo, hi in p.chunks:
+                np.equal(
+                    assign[p.vids[a:b]][p.rk[lo:hi] // p.C],
+                    assign[p.cols[lo:hi]],
+                    out=same[lo:hi],
+                )
+            s += float(p.w[same].sum())
         return s
 
     def pagerank_iter(self, s, n: int):
@@ -487,19 +505,13 @@ class ShardWorker:
         # (modules ship by value; a runtime `import` would raise
         # ModuleNotFoundError when the driver cwd isn't the repo root).
         out_v, out_l = [], []
-        for shard in self.shards:
-            best, bw = _best_labels_for_shard(shard, lab)
-            cur = lab[shard.vids]
-            counts = np.diff(shard.indptr)
-            src = np.repeat(shard.vids, counts)
-            m = (src != shard.cols) & (lab[shard.cols] == np.repeat(cur, counts))
-            curw = np.bincount(
-                np.repeat(np.arange(shard.vids.shape[0]), counts)[m],
-                weights=shard.weights[m],
-                minlength=shard.vids.shape[0],
-            )
+        if lab.shape[0] < 2**31 - 1:
+            lab = lab.astype(np.int32)  # int32 sort keys, as in louvain_sweep
+        for plan in self._sweep_plans(lab.shape[0]):
+            best, bw, curw = _best_labels_for_shard(plan, lab)
+            cur = lab[plan.vids]
             better = (best >= 0) & ((bw > curw) | ((bw == curw) & (best < cur)))
-            out_v.append(shard.vids[better])
+            out_v.append(plan.vids[better])
             out_l.append(best[better])
         return (
             np.concatenate(out_v) if out_v else np.empty(0, np.int64),

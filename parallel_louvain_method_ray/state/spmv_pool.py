@@ -1009,7 +1009,8 @@ def louvain_level_partitioned(
     sweep moves nothing or `max_sweeps` ran. Returns (assignment Dataset
     (vid, comm), {"sweeps", "moves"}).
 
-    Each sweep is `chunked_local_move_sweep(chunk=n)`: the pure-Jacobi
+    Each sweep is `chunked_local_move_sweep` on a one-chunk plan
+    (`sweep_plan(..., chunk=n, ...)`): the pure-Jacobi
     decision against fresh snapshot stats (gain argmax with min-comm
     tie-break, remove-before-gain threshold, singleton-swap guard),
     bit-for-bit on integer-weight graphs. The assignment stays sharded on

@@ -412,6 +412,36 @@ def test_bfs_sssp_parents_driver_local_matches_distributed(monkeypatch):
     np.testing.assert_array_equal(pd_loc, pd_dist)
 
 
+def test_kcore_bounded_dedups_raw_edges_on_both_paths(monkeypatch):
+    """Neither path runs a distinct-pair shuffle: the driver path dedups
+    the collected pairs, the pool path hands the raw edges to the peel
+    actors. Duplicate and reversed copies of a pair count once and
+    self-loops not at all, so vertex 3 (one distinct neighbor, four
+    copies of the pair plus a self-loop) peels at k=2 and vertex 4
+    (self-loop only) is never alive."""
+    import pyarrow as pa
+    import ray.data
+
+    from parallel_louvain_method_ray import config
+    from parallel_louvain_method_ray.algos import kcore as kc
+
+    src = np.array([0, 1, 1, 2, 0, 2, 0, 2, 3, 3, 2, 3, 4, 1], dtype=np.int64)
+    dst = np.array([1, 0, 2, 1, 2, 0, 1, 3, 2, 3, 3, 2, 4, 2], dtype=np.int64)
+    edges = ray.data.from_arrow(pa.table({"src": src, "dst": dst}))
+    expected = np.array([True, True, True, False, False, False])
+    for gate in (None, 0):
+        if gate is not None:
+            monkeypatch.setattr(config, "DRIVER_LOCAL_ROWS", gate)
+        alive, meta = kc.kcore_bounded(edges, n=6, k=2, rounds=16)
+        np.testing.assert_array_equal(alive, expected)
+        assert meta["rounds"] == 2
+        # rounds=0: the edge-incident vertices, self-loop-only ones excluded
+        alive0, meta0 = kc.kcore_bounded(edges, n=6, k=2, rounds=0)
+        np.testing.assert_array_equal(alive0, [True] * 4 + [False] * 2)
+        assert meta0["rounds"] == 0
+        monkeypatch.undo()
+
+
 def test_kcore_bounded_driver_local_matches_distributed(monkeypatch):
     """Forcing the driver-local peel gate to 0 must reproduce identical
     alive sets and round counts from the SpmvPool peel (same Jacobi

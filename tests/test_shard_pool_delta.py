@@ -147,11 +147,12 @@ def test_pagerank_routes_through_sharded_power(monkeypatch):
 
 
 def test_unit_weight_kernel_path_bit_identical():
-    """unit_weights=True (count bincounts, no weights stream) must be
+    """The unit-weight path (run lengths, no weights stream) must be
     bit-identical to the weighted path on an all-1.0 graph: summing 1.0s
     in float64 IS counting."""
     from parallel_louvain_method_ray.algos._local_move import (
         chunked_local_move_sweep,
+        sweep_plan,
     )
 
     rng = np.random.default_rng(13)
@@ -173,14 +174,16 @@ def test_unit_weight_kernel_path_bit_identical():
 
     states = []
     for unit in (False, True):
+        plan = sweep_plan(vids, indptr, d, w, deg, 256, n)
+        assert plan.unit
+        plan.unit = unit  # force the weighted path on the all-1.0 graph
         comm = np.arange(n, dtype=np.int32)
         tot = deg.copy()
         csize = np.ones(n, dtype=np.int32)
         moves = 0
         for _ in range(3):  # a few sweeps so paths diverge if wrong
             moves += chunked_local_move_sweep(
-                vids, indptr, d, w, comm, tot, deg, m2,
-                csize=csize, chunk=256, unit_weights=unit,
+                plan, comm, tot, m2, csize=csize
             )
         states.append((comm, tot, csize, moves))
     (c0, t0, s0, m0), (c1, t1, s1, m1) = states

@@ -1,7 +1,8 @@
 """Concurrency sensitivity of the local-move kernel (no Ray).
 
 Runs `chunked_local_move_sweep` on identical synthetic CSR shards in K
-concurrent OS processes. Interpretation:
+concurrent OS processes (each shard's `sweep_plan` is built before the
+timed sweep, as a worker builds it once per level). Interpretation:
 
 - if per-process throughput at K=16 matches K=1, the kernel is
   compute-bound and any 8->32 CPU scaling shortfall in `bench.py
@@ -48,6 +49,7 @@ def _make_shard(seed):
 def _worker(seed, q):
     from parallel_louvain_method_ray.algos._local_move import (
         chunked_local_move_sweep,
+        sweep_plan,
     )
 
     vids, indptr, cols, w, E = _make_shard(seed)
@@ -58,15 +60,14 @@ def _worker(seed, q):
     # warmup pass: touch every page before timing (first-touch page
     # faults are hypervisor-slow on the sandbox's Firecracker microVM)
     lo = int(indptr[1000])
-    chunked_local_move_sweep(
-        vids[:1000], indptr[:1001], cols[:lo], w[:lo], comm, tot, deg,
-        2.0 * E, csize=csize, chunk=256,
+    warm = sweep_plan(
+        vids[:1000], indptr[:1001], cols[:lo], w[:lo], deg, 256, N_COMM
     )
+    chunked_local_move_sweep(warm, comm, tot, 2.0 * E, csize=csize)
+    # the plan is per-level work: built once, outside the timed sweep
+    plan = sweep_plan(vids, indptr, cols, w, deg, 256, N_COMM)
     t0 = time.perf_counter()
-    chunked_local_move_sweep(
-        vids, indptr, cols, w, comm, tot, deg, 2.0 * E,
-        csize=csize, chunk=256, undo_log=[],
-    )
+    chunked_local_move_sweep(plan, comm, tot, 2.0 * E, csize=csize, undo_log=[])
     q.put(E / (time.perf_counter() - t0))
 
 
