@@ -267,23 +267,14 @@ def run_scaling_unit(sf_dir: str, num_cpus: int, mult: int) -> dict:
         )
         meta_path = os.path.join(cdir, "meta.json")
         if os.path.exists(meta_path):
-            from parallel_louvain_method_ray.graph.build import GraphHandle
+            from parallel_louvain_method_ray.graph.build import graph_from_shards
 
             with open(meta_path) as f:
                 meta = json.load(f)
             shards = ray.data.read_parquet(
                 os.path.join(cdir, "shards")
             ).materialize()
-            degrees = np.load(os.path.join(cdir, "degrees.npy"))
-            graph = GraphHandle(
-                shards=shards,
-                n=meta["n"],
-                m=meta["m"],
-                n_entries=meta["n_entries"],
-                total_weight=meta["total_weight"],
-                degrees_ref=ray.put(degrees),
-                config=cfg,
-            )
+            graph = graph_from_shards(shards, cfg, n_vertices=meta["n"])
             graph_cache_hit = True
     if graph is None:
         edges = ray.data.range(n_pages).map_batches(
@@ -293,17 +284,8 @@ def run_scaling_unit(sf_dir: str, num_cpus: int, mult: int) -> dict:
         if cache_root:
             os.makedirs(os.path.join(cdir, "shards"), exist_ok=True)
             graph.shards.write_parquet(os.path.join(cdir, "shards"))
-            np.save(os.path.join(cdir, "degrees.npy"), graph.degrees())
             with open(meta_path, "w") as f:
-                json.dump(
-                    {
-                        "n": graph.n,
-                        "m": graph.m,
-                        "n_entries": graph.n_entries,
-                        "total_weight": graph.total_weight,
-                    },
-                    f,
-                )
+                json.dump({"n": graph.n}, f)
     t_build = time.time() - t0
 
     # STEADY-STATE round throughput: run a fixed number of deterministic

@@ -254,10 +254,13 @@ def _collect_entries(graph: GraphHandle):
 
 
 def _sorted_entries(entries: list) -> tuple:
-    """The [src, dst, w] entry arrays in (src, dst, w) order. Sorts the
-    list in place, so each input array is freed as soon as its sorted copy
-    exists when the list holds the only reference."""
-    order = np.lexsort(entries[::-1])
+    """The [src, dst, w] entry arrays in (src, dst, w) order. The entries
+    are CSR shards concatenated in any shard order: each shard is already
+    sorted by (src, dst, w) and owns every entry of its source rows, so a
+    stable sort on src alone gives the 3-key order. Sorts the list in
+    place, so each input array is freed as soon as its sorted copy exists
+    when the list holds the only reference."""
+    order = np.argsort(entries[0], kind="stable")
     for i in range(3):
         entries[i] = entries[i][order]
     return tuple(entries)

@@ -25,7 +25,6 @@ Scale notes (100 TB / 256 nodes):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 import pyarrow as pa
@@ -263,6 +262,7 @@ class GraphHandle:
     n: int  # vertex id space size (dense 0..n-1)
     m: int  # edge count = n_entries // 2 (reference sparsify semantics)
     n_entries: int
+    row_entries: list[int]  # n_entries of each shard row, in block order
     total_weight: float  # sum of entry weights (= 2 * undirected weight)
     degrees_ref: "ray.ObjectRef"
     config: EngineConfig
@@ -319,52 +319,58 @@ def build_graph(
         .materialize()
     )
 
-    meta = pa.concat_tables(
-        [
-            pa.table(b)
-            for b in shards.select_columns(
-                ["pid", "n_vertices", "n_entries", "max_vid"]
-            ).iter_batches(batch_format="pyarrow")
-        ]
+    return graph_from_shards(shards, cfg, n_vertices=n_vertices)
+
+
+@ray.remote
+def _shard_block_meta(block) -> tuple:
+    """(n_entries per row, max_vid, vids per shard, degrees per shard) of
+    one packed shard block — the driver never pulls the CSR arrays."""
+    t = block if isinstance(block, pa.Table) else pa.table(block)
+    if t.num_rows == 0:  # an empty block may carry no schema
+        return [], -1, [], []
+    shards = unpack_shards(t)
+    return (
+        t.column("n_entries").to_pylist(),
+        max(t.column("max_vid").to_pylist(), default=-1),
+        [s.vids for s in shards],
+        [s.degrees() for s in shards],
     )
-    n_entries = int(pa.compute.sum(meta.column("n_entries")).as_py() or 0)
-    max_vid = int(pa.compute.max(meta.column("max_vid")).as_py() or -1)
+
+
+def graph_from_shards(
+    shards: ray.data.Dataset,
+    config: EngineConfig | None = None,
+    *,
+    n_vertices: int | None = None,
+) -> GraphHandle:
+    """GraphHandle over a MATERIALIZED packed-shard Dataset: metadata,
+    degrees and total weight in one small task per block. Degrees and the
+    weight sum are added in block order, then row order."""
+    refs = [
+        ref for bundle in shards.iter_internal_ref_bundles()
+        for ref in bundle.block_refs
+    ]
+    metas = ray.get([_shard_block_meta.remote(r) for r in refs])
+    row_entries = [e for meta in metas for e in meta[0]]
+    max_vid = max((meta[1] for meta in metas), default=-1)
     n = n_vertices if n_vertices is not None else max_vid + 1
-
-    # degrees + total weight in one shuffle-free pass over the shards
-    def deg_batch(batch: pa.Table) -> pa.Table:
-        vids_out, degs_out = [], []
-        for shard in unpack_shards(batch):
-            vids_out.append(shard.vids)
-            degs_out.append(shard.degrees())
-        return pa.table(
-            {
-                "vid": np.concatenate(vids_out) if vids_out else np.empty(0, np.int64),
-                "degree": (
-                    np.concatenate(degs_out) if degs_out else np.empty(0, np.float64)
-                ),
-            }
-        )
-
     degrees = np.zeros(n, dtype=np.float64)
     total_weight = 0.0
-    for b in shards.map_batches(deg_batch, batch_format="pyarrow").iter_batches(
-        batch_format="pyarrow"
-    ):
-        t = pa.table(b)
-        vid = t.column("vid").to_numpy(zero_copy_only=False)
-        deg = t.column("degree").to_numpy(zero_copy_only=False)
-        degrees[vid] = deg  # vids are disjoint across shards
-        total_weight += float(deg.sum())
-
+    for _, _, vids, degs in metas:
+        for vid, deg in zip(vids, degs):
+            degrees[vid] = deg  # vids are disjoint across shards
+            total_weight += float(deg.sum())
+    n_entries = sum(row_entries)
     return GraphHandle(
         shards=shards,
         n=n,
         m=n_entries // 2,
         n_entries=n_entries,
+        row_entries=row_entries,
         total_weight=total_weight,
         degrees_ref=ray.put(degrees),
-        config=cfg,
+        config=config or DEFAULT_CONFIG,
     )
 
 
@@ -377,9 +383,9 @@ def build_graph_small(
     n_vertices: int,
 ) -> GraphHandle:
     """Driver-side fast path for SMALL already-symmetrized entry arrays
-    (coarse Louvain levels): pack CSR shards with numpy and publish them as
-    one Arrow table — skips the shuffle pipeline entirely. Semantically
-    identical to build_graph(already_symmetrized=True)."""
+    (coarse Louvain levels): pack CSR shards with numpy and `ray.put` each
+    shard row as its own block — no shuffle and no Ray Data execution.
+    Semantically identical to build_graph(already_symmetrized=True)."""
     from parallel_louvain_method_ray.graph.csr import (
         SHARD_SCHEMA,
         dedup_sorted_entries,
@@ -406,14 +412,11 @@ def build_graph_small(
         tables.append(
             pack_shard_table(t, max_entries_per_shard=cfg.max_entries_per_shard)
         )
-    packed = (
-        pa.concat_tables(tables)
-        if tables
-        else pa.Table.from_pydict(
-            {k: [] for k in SHARD_SCHEMA.names}, schema=SHARD_SCHEMA
-        )
-    )
-    shards = ray.data.from_arrow(packed).repartition(max(1, packed.num_rows)).materialize()
+    # one block per shard row, published without a Ray Data execution
+    rows = [t.slice(i, 1) for t in tables for i in range(t.num_rows)] or [
+        pa.Table.from_pydict({k: [] for k in SHARD_SCHEMA.names}, schema=SHARD_SCHEMA)
+    ]
+    shards = ray.data.from_arrow_refs([ray.put(r) for r in rows])
 
     # meta + degrees directly from the arrays (dedup matches pack)
     ds_, dd_, ww_ = dedup_sorted_entries(src, dst, w)
@@ -423,6 +426,7 @@ def build_graph_small(
         n=n_vertices,
         m=int(ds_.shape[0]) // 2,
         n_entries=int(ds_.shape[0]),
+        row_entries=[e for r in rows for e in r.column("n_entries").to_pylist()],
         total_weight=float(ww_.sum()),
         degrees_ref=ray.put(degrees),
         config=cfg,

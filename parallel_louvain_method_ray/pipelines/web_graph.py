@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 import ray.data
 
@@ -40,16 +41,20 @@ def renumber_urls(
     """Dense renumbering over string keys: every url appearing as src or dst
     maps to its rank in sorted order (the string analogue of
     `renumber.py:25-34`). Below `max_driver_ids` the distinct-url set is
-    collected + broadcast (searchsorted rewrite); above it the scale path
+    collected + broadcast (Arrow `index_in` rewrite); above it the scale path
     runs Dataset.sort + per-block offset ranking + two hash joins — no
     O(V) driver state (see graph.build.assign_dense_ids)."""
 
     def urls_of(batch: pa.Table) -> pa.Table:
-        u = np.union1d(
-            batch.column("src_url").to_numpy(zero_copy_only=False),
-            batch.column("dst_url").to_numpy(zero_copy_only=False),
+        both = pa.chunked_array(
+            [
+                chunk
+                for col in ("src_url", "dst_url")
+                for chunk in batch.column(col).cast(pa.string()).chunks
+            ],
+            type=pa.string(),
         )
-        return pa.table({"url": pa.array(u, pa.string())})
+        return pa.table({"url": pc.unique(both)})
 
     # per-block distinct endpoints — the only distributed pass over the
     # edge strings. The tier gate uses the SUM of per-block distinct counts
@@ -73,46 +78,42 @@ def renumber_urls(
         return edges, vertices, n
 
     # broadcast tier: the driver holds the sorted distinct-url array anyway
-    # (searchsorted rewrite), so dedupe HERE instead of paying a groupby
+    # (index_in rewrite), so dedupe HERE instead of paying a groupby
     # shuffle first — Ray Data's sort-based aggregate costs ~per-distinct-
     # key Python combine (measured ~7 s at 50k keys), pure overhead when
-    # the driver repeats the sort+unique in milliseconds.
+    # Arrow's unique + sort repeat it on the driver in milliseconds. Arrow
+    # sorts strings by UTF-8 bytes, which is code-point order.
     parts = [
-        pa.table(b).column("url").to_numpy(zero_copy_only=False)
+        chunk
         for b in blk_distinct.iter_batches(batch_format="pyarrow")
+        for chunk in pa.table(b).column("url").chunks
     ]
-    urls = (
-        np.unique(np.concatenate(parts)) if parts else np.empty(0, dtype=object)
-    )
+    urls = pc.unique(pa.chunked_array(parts, type=pa.string()))
+    urls = urls.take(pc.sort_indices(urls))
     ref = ray.put(urls)
 
     def rewrite(batch: pa.Table) -> pa.Table:
         u = ray.get(ref)
-        s = batch.column("src_url").to_numpy(zero_copy_only=False)
-        d = batch.column("dst_url").to_numpy(zero_copy_only=False)
-        out = pa.table(
+
+        def vid(col: str) -> pa.Array:
+            found = pc.index_in(batch.column(col).cast(pa.string()), value_set=u)
+            return found.cast(pa.int64())
+
+        return pa.table(
             {
-                "src": np.searchsorted(u, s).astype(np.int64),
-                "dst": np.searchsorted(u, d).astype(np.int64),
-                "weight": batch.column("n_anchors")
-                .to_numpy(zero_copy_only=False)
-                .astype(np.float64),
+                "src": vid("src_url"),
+                "dst": vid("dst_url"),
+                "weight": batch.column("n_anchors").cast(pa.float64()),
             }
         )
-        return out
 
     vertices = ray.data.from_arrow(
-        pa.table(
-            {
-                "url": pa.array(urls, pa.string()),
-                "vid": np.arange(urls.shape[0], dtype=np.int64),
-            }
-        )
+        pa.table({"url": urls, "vid": np.arange(len(urls), dtype=np.int64)})
     )
     return (
         edges_str.map_batches(rewrite, batch_format="pyarrow"),
         vertices,
-        int(urls.shape[0]),
+        len(urls),
     )
 
 

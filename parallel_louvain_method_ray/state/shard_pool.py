@@ -548,11 +548,7 @@ def _row_assignment(graph, num_workers: int | None):
         for rb in graph.shards.iter_internal_ref_bundles()
         for br in rb.block_refs
     ]
-    sizes = []
-    for b in graph.shards.select_columns(["n_entries"]).iter_batches(
-        batch_format="pyarrow"
-    ):
-        sizes.extend(pa.table(b).column("n_entries").to_pylist())
+    sizes = graph.row_entries
     if num_workers is None:
         # half the CPUs: leaves headroom for the driver + Ray system
         # processes; beyond ~cpus/2 actors per-round coordination degrades.

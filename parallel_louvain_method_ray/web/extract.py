@@ -31,6 +31,7 @@ from urllib.parse import urljoin
 
 import pyarrow as pa
 import ray.data
+from ray.data.dataset import MaterializedDataset
 
 EXTRACTED_SCHEMA = pa.schema(
     [
@@ -174,7 +175,17 @@ def links_to_edges(extracted: ray.data.Dataset) -> ray.data.Dataset:
     IS the page, and each page is exactly one row), so the anchor-count
     aggregation is batch-local — Arrow's C++ group_by inside map_batches.
     The previous global string-keyed `groupby` shuffled every anchor pair
-    for nothing (~6 s of the 13 s extract stage at sf0.1/32cpu)."""
+    for nothing (~6 s of the 13 s extract stage at sf0.1/32cpu).
+
+    Block sizing: `extract_pages` writes one block per extract batch (48
+    blocks of a few hundred KB for 16k pages at batch_size=256), and every
+    later stage — renumbering, `build_graph`'s shuffle — would inherit
+    them as one task each. A MATERIALIZED input is therefore coalesced
+    without a shuffle: the explode map bundles its blocks into batches so
+    it writes one block per cluster CPU, or one per
+    `DataContext.target_max_block_size` of input when that is more, and
+    never more blocks than the input has. A lazy input keeps streaming in
+    its own blocks (sizing it would need an execution)."""
 
     def explode_count(batch: pa.Table) -> pa.Table:
         import numpy as np
@@ -205,5 +216,22 @@ def links_to_edges(extracted: ray.data.Dataset) -> ray.data.Dataset:
         )
 
     return extracted.select_columns(["url", "links"]).map_batches(
-        explode_count, batch_format="pyarrow"
+        explode_count,
+        batch_format="pyarrow",
+        batch_size=_coalesced_batch_size(extracted),
     )
+
+
+def _coalesced_batch_size(ds: ray.data.Dataset) -> int | None:
+    """Rows per batch that merge a materialized Dataset's blocks into
+    max(cluster CPUs, ceil(size_bytes / target_max_block_size)) blocks;
+    None (one batch per block) for a lazy input or one already that
+    coarse."""
+    if not isinstance(ds, MaterializedDataset):
+        return None
+    cpus = int(ray.cluster_resources().get("CPU", 4))
+    target = ray.data.DataContext.get_current().target_max_block_size
+    k = max(cpus, -(-ds.size_bytes() // target) if target else 0)
+    if ds.num_blocks() <= k:
+        return None
+    return max(1, -(-ds.count() // k))

@@ -3,8 +3,12 @@
 import numpy as np
 import pyarrow as pa
 import pytest
+import ray
 import ray.data
 
+from parallel_louvain_method_ray.config import EngineConfig
+from parallel_louvain_method_ray.graph.build import build_graph
+from parallel_louvain_method_ray.graph.csr import unpack_shards
 from parallel_louvain_method_ray.web.extract import (
     HtmlExtractor,
     extract_pages,
@@ -98,3 +102,51 @@ def test_web_edge_table_end_to_end():
     s = et.column("src").to_numpy(zero_copy_only=False)
     d = et.column("dst").to_numpy(zero_copy_only=False)
     assert s.min() >= 0 and d.min() >= 0 and max(s.max(), d.max()) < n
+
+
+def _graph_arrays(g):
+    out = []
+    for b in g.shards.iter_batches(batch_format="pyarrow", batch_size=None):
+        for s in unpack_shards(pa.table(b)):
+            out.append((s.pid, s.vids, s.indptr, s.cols, s.weights))
+    return out
+
+
+def test_links_to_edges_block_count_invariance():
+    """Coalescing the extract blocks changes no edge, vid or shard array;
+    a materialized input with more blocks than CPUs comes out with at most
+    one block per CPU, and a lazy input still streams."""
+    ids = ray.data.range(120, override_num_blocks=15)
+    pages = synthesize_pages(
+        ids, n_pages=120, n_domains=6, n_hub_pages=2, id_column="id"
+    ).materialize()
+    cpus = int(ray.cluster_resources()["CPU"])
+    cfg = EngineConfig(num_partitions=4)
+    graphs = []
+    for batch_size in (8, 64):
+        extracted = extract_pages(pages, concurrency=2, batch_size=batch_size).materialize()
+        edges_str = links_to_edges(extracted).materialize()
+        if batch_size == 8:
+            assert extracted.num_blocks() > cpus
+            assert edges_str.num_blocks() <= cpus
+        else:
+            assert edges_str.num_blocks() == extracted.num_blocks() <= cpus
+        edges, _, n = renumber_urls(edges_str)
+        graphs.append(build_graph(edges, cfg, n_vertices=n))
+    a, b = graphs
+    assert (a.n, a.m, a.n_entries, a.total_weight) == (b.n, b.m, b.n_entries, b.total_weight)
+    np.testing.assert_array_equal(a.degrees(), b.degrees())
+    sa, sb = _graph_arrays(a), _graph_arrays(b)
+    assert len(sa) == len(sb)
+    for x, y in zip(sa, sb):
+        assert x[0] == y[0]
+        for u, v in zip(x[1:], y[1:]):
+            np.testing.assert_array_equal(u, v)
+
+    lazy = links_to_edges(extract_pages(pages, concurrency=2, batch_size=8))
+    rows = lambda ds: sorted(
+        zip(*pa.concat_tables(
+            [pa.table(t) for t in ds.iter_batches(batch_format="pyarrow")]
+        ).to_pydict().values())
+    )
+    assert rows(lazy) == rows(edges_str)
