@@ -20,9 +20,9 @@ drains, `:326-353` — its scalability killer) with BSP sweeps:
   sequential reference algorithm (same kernel), which is how golden parity
   is tested.
 
-Levels small enough for the driver (`driver_local_entries`,
-`driver_local_vertices`) skip the pool and run the same kernel in strict
-Gauss-Seidel order on the driver.
+Levels small enough for the driver (`config.DRIVER_LOCAL_ROWS` entries,
+or `DRIVER_LOCAL_VERTICES` on coarse levels) skip the pool and run the
+same kernel in strict Gauss-Seidel order on the driver.
 
 Coarsening (`community.cpp:162-201`, `distcommunity.cpp:766-915`) is one
 pool wave: per-worker partial contraction (numpy groupby) -> driver merge
@@ -46,13 +46,18 @@ from parallel_louvain_method_ray.algos._local_move import (
     local_move_sweep,
     sweep_plan,
 )
+from parallel_louvain_method_ray import config as engine_config
 from parallel_louvain_method_ray.config import DEFAULT_CONFIG, EngineConfig
 from parallel_louvain_method_ray.graph.build import (
     GraphHandle,
     build_graph,
     build_graph_small,
 )
-from parallel_louvain_method_ray.graph.csr import shard_to_entries, unpack_shards
+from parallel_louvain_method_ray.graph.csr import (
+    shards_to_entries,
+    sum_by_key,
+    unpack_shards,
+)
 from parallel_louvain_method_ray.state.shard_pool import pool_for
 
 # Stop a distributed level early once modularity has not beaten its best
@@ -62,6 +67,14 @@ from parallel_louvain_method_ray.state.shard_pool import pool_for
 # deterministic, so a stall detector is enough).
 STALL_EPS = 1e-12
 STALL_SWEEPS = 3
+
+# COARSE levels (level > 0) with at most this many vertices run
+# driver-local even when their weighted entry list exceeds
+# `config.DRIVER_LOCAL_ROWS`: distributing a 6k-vertex contracted graph
+# over 32 partitions is pure chunk-Jacobi oscillation for no parallel
+# gain. Level 0 is gated by entry count alone, so a large input graph
+# never silently runs serial. 0 disables it.
+DRIVER_LOCAL_VERTICES = 100_000
 
 # Max entries for the DRIVER-side strict-GS polish; larger graphs polish
 # through the shard pool (chunked kernel).
@@ -237,20 +250,25 @@ def louvain_level(
 
 def _collect_entries(graph: GraphHandle):
     """Driver-side (src, dst, w) arrays of a SMALL graph's entry list."""
-    srcs, dsts, ws = [], [], []
-    for b in graph.shards.iter_batches(batch_format="pyarrow"):
-        for shard in unpack_shards(pa.table(b)):
-            s, d, w = shard_to_entries(shard)
-            srcs.append(s)
-            dsts.append(d)
-            ws.append(w)
-    if not srcs:
-        return (
-            np.empty(0, np.int64),
-            np.empty(0, np.int64),
-            np.empty(0, np.float64),
-        )
-    return np.concatenate(srcs), np.concatenate(dsts), np.concatenate(ws)
+    return shards_to_entries(
+        [
+            shard
+            for b in graph.shards.iter_batches(batch_format="pyarrow")
+            for shard in unpack_shards(pa.table(b))
+        ]
+    )
+
+
+def _driver_q(entries: tuple, assign: np.ndarray, deg: np.ndarray, m2: float) -> float:
+    """`modularity` from driver-held (src, dst, w) entry arrays: the same
+    expression, with the self-loop-free intra weight summed here."""
+    if m2 <= 0:  # fully-contracted graph: only self-loops, m = 0
+        return 0.0
+    src, dst, w = entries
+    mask = (src != dst) & (assign[src] == assign[dst])
+    tot = np.bincount(assign, weights=deg, minlength=deg.shape[0])
+    nz = tot > 0
+    return float(w[mask].sum()) / m2 - float(((tot[nz] / m2) ** 2).sum())
 
 
 def _sorted_entries(entries: list) -> tuple:
@@ -278,7 +296,7 @@ def _driver_level(
 ) -> tuple[np.ndarray, bool, LevelMetrics, tuple]:
     """Small-level fast path: the whole level runs driver-local with the
     SAME kernel in strict Gauss-Seidel order (P=1 semantics — below
-    `driver_local_entries` a distributed round is pure fixed cost and
+    `config.DRIVER_LOCAL_ROWS` a distributed round is pure fixed cost and
     sequential local moves converge strictly). Returns the collected entry
     arrays too so the caller can coarsen without another collect."""
     n = graph.n
@@ -288,16 +306,6 @@ def _driver_level(
     vids = np.arange(n, dtype=np.int64)
     deg = graph.degrees()
     m2 = _m2(graph, m_mode)
-
-    def local_q(a: np.ndarray) -> float:
-        if m2 <= 0:  # fully-contracted graph: only self-loops, m = 0
-            return 0.0
-        mask = (src != dst) & (a[src] == a[dst])
-        intra = float(w[mask].sum())
-        tot_ = np.bincount(a, weights=deg, minlength=n)
-        nz = tot_ > 0
-        return intra / m2 - float(((tot_[nz] / m2) ** 2).sum())
-
     assign = (
         start_assign.copy()
         if start_assign is not None
@@ -306,7 +314,7 @@ def _driver_level(
     metrics = LevelMetrics(
         level=-1, n_vertices=n, m=graph.m, sweeps=start_sweep, moves=prior_moves
     )
-    metrics.modularity_before = local_q(assign)
+    metrics.modularity_before = _driver_q((src, dst, w), assign, deg, m2)
     improved = prior_moves > 0
     csize = np.bincount(assign, minlength=n) if tie_break == "canonical" else None
     tot = np.bincount(assign, weights=deg, minlength=n)
@@ -336,7 +344,7 @@ def _driver_level(
             on_sweep(sweep, assign, moves)
         if moves == 0:
             break
-    metrics.modularity_after = local_q(assign)
+    metrics.modularity_after = _driver_q((src, dst, w), assign, deg, m2)
     metrics.n_communities = int(np.unique(assign).shape[0])
     return assign, improved, metrics, (src, dst, w)
 
@@ -349,10 +357,7 @@ def _driver_coarsen(
     old = np.unique(assign)
     dense = np.searchsorted(old, assign).astype(np.int64)
     ncomms = int(old.shape[0])
-    key = dense[src] * np.int64(ncomms) + dense[dst]
-    uk, inv = np.unique(key, return_inverse=True)
-    wsum = np.zeros(uk.shape[0], dtype=np.float64)
-    np.add.at(wsum, inv, w)
+    uk, wsum = sum_by_key(dense[src] * np.int64(ncomms) + dense[dst], w)
     coarse = build_graph_small(
         (uk // ncomms).astype(np.int64),
         (uk % ncomms).astype(np.int64),
@@ -384,7 +389,7 @@ def _polish(
     if graph0.n_entries <= POLISH_DRIVER_ENTRIES:
         if (
             pool.graph is graph0
-            or graph0.n_entries > cfg.driver_local_entries
+            or graph0.n_entries > engine_config.DRIVER_LOCAL_ROWS
         ):
             # one wave from the warm workers' in-memory shards instead of
             # a driver-side Dataset re-scan (~10x at bench scale). The
@@ -399,14 +404,7 @@ def _polish(
         src, dst, w = _sorted_entries(entries)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-
-        def q_of(a: np.ndarray) -> float:
-            mask = (src != dst) & (a[src] == a[dst])
-            tot_ = np.bincount(a, weights=deg, minlength=n)
-            nz = tot_ > 0
-            return float(w[mask].sum()) / m2 - float(((tot_[nz] / m2) ** 2).sum())
-
-        q0 = q_of(membership)
+        q0 = _driver_q((src, dst, w), membership, deg, m2)
         assign = membership.copy()
         tot = np.bincount(assign, weights=deg, minlength=n)
         csize = np.bincount(assign, minlength=n)
@@ -420,7 +418,9 @@ def _polish(
             moves = chunked_local_move_sweep(plan, assign, tot, m2, csize=csize)
             if moves == 0:
                 break
-        return assign if q_of(assign) > q0 else membership
+        return (
+            assign if _driver_q((src, dst, w), assign, deg, m2) > q0 else membership
+        )
     # large graph: pool-path refinement (chunked kernel), Q-gated
     from dataclasses import replace
 
@@ -500,8 +500,8 @@ def louvain(
             # oscillation for no gain). Level 0 is gated by ENTRY count
             # alone — otherwise a large-but-low-vertex input graph would
             # silently run the whole algorithm serial on the driver.
-            local = graph.n_entries <= cfg.driver_local_entries or (
-                level > 0 and graph.n <= cfg.driver_local_vertices
+            local = graph.n_entries <= engine_config.DRIVER_LOCAL_ROWS or (
+                level > 0 and graph.n <= DRIVER_LOCAL_VERTICES
             )
             any_distributed = any_distributed or not local
             if not local and pool is None:
@@ -565,20 +565,11 @@ def louvain(
         if cfg.polish_sweeps > 0 and len(levels) > 0 and any_distributed:
             membership = _polish(graph0, membership, cfg, m_mode, pool)
         # final Q on the ORIGINAL graph under the composed assignments
-        if graph0.n_entries <= cfg.driver_local_entries:
-            src0, dst0, w0 = _collect_entries(graph0)
-            m2 = _m2(graph0, m_mode)
-            if m2 <= 0:
-                final_on_orig = 0.0
-            else:
-                mask = (src0 != dst0) & (membership[src0] == membership[dst0])
-                tot0 = np.bincount(
-                    membership, weights=graph0.degrees(), minlength=graph0.n
-                )
-                nz = tot0 > 0
-                final_on_orig = float(w0[mask].sum()) / m2 - float(
-                    ((tot0[nz] / m2) ** 2).sum()
-                )
+        if graph0.n_entries <= engine_config.DRIVER_LOCAL_ROWS:
+            final_on_orig = _driver_q(
+                _collect_entries(graph0), membership, graph0.degrees(),
+                _m2(graph0, m_mode),
+            )
         else:
             final_on_orig = modularity(graph0, membership, m_mode, pool=pool)
     return LouvainResult(

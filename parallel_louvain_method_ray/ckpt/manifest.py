@@ -40,8 +40,12 @@ import zlib
 import numpy as np
 import pyarrow as pa
 
-from parallel_louvain_method_ray.graph.build import GraphHandle, build_graph
-from parallel_louvain_method_ray.graph.csr import shard_to_entries, unpack_shards
+from parallel_louvain_method_ray.graph.build import (
+    GraphHandle,
+    build_graph,
+    entries_dataset,
+)
+from parallel_louvain_method_ray.graph.csr import unpack_shards
 
 
 def _atomic_write_json(path: str, obj) -> None:
@@ -90,18 +94,6 @@ class LouvainCheckpointer:
 
         lineage = {}
 
-        def expand(batch: pa.Table) -> pa.Table:
-            out = []
-            for shard in unpack_shards(batch):
-                src, dst, w = shard_to_entries(shard)
-                out.append(
-                    pa.table({"src": src, "dst": dst, "weight": w})
-                )
-            return pa.concat_tables(out) if out else pa.table(
-                {"src": pa.array([], pa.int64()), "dst": pa.array([], pa.int64()),
-                 "weight": pa.array([], pa.float64())}
-            )
-
         # per-partition lineage from the shard metadata + content hash
         # (a pid may be split into several sub-shards — key on pid/first-vid)
         for b in graph.shards.iter_batches(batch_format="pyarrow"):
@@ -112,9 +104,7 @@ class LouvainCheckpointer:
                     "hash": _arr_hash(shard.cols) + _arr_hash(shard.weights),
                 }
 
-        graph.shards.map_batches(expand, batch_format="pyarrow").write_parquet(
-            tmp_edges
-        )
+        entries_dataset(graph).write_parquet(tmp_edges)
         shutil.rmtree(edges_dir, ignore_errors=True)
         os.replace(tmp_edges, edges_dir)
         _atomic_save_npy(os.path.join(ld, "membership.npy"), membership)

@@ -61,7 +61,11 @@ def main(argv=None) -> int:
     )
     from parallel_louvain_method_ray.ckpt.manifest import LouvainCheckpointer
     from parallel_louvain_method_ray.config import EngineConfig
-    from parallel_louvain_method_ray.graph.build import build_graph, renumber
+    from parallel_louvain_method_ray.graph.build import (
+        build_graph,
+        entries_dataset,
+        renumber,
+    )
     from parallel_louvain_method_ray.sources.edges import (
         read_edge_list_text,
         write_edges_text,
@@ -128,20 +132,8 @@ def main(argv=None) -> int:
     )
     write_communities(assigns, os.path.join(args.outdir, "communities"))
 
-    from parallel_louvain_method_ray.graph.csr import shard_to_entries, unpack_shards
-
-    def expand(batch: pa.Table) -> pa.Table:
-        out = []
-        for shard in unpack_shards(batch):
-            s, d, w = shard_to_entries(shard)
-            out.append(pa.table({"src": s, "dst": d, "weight": w}))
-        return pa.concat_tables(out) if out else pa.table(
-            {"src": pa.array([], pa.int64()), "dst": pa.array([], pa.int64()),
-             "weight": pa.array([], pa.float64())}
-        )
-
     write_edges_text(
-        coarse_graph.shards.map_batches(expand, batch_format="pyarrow"),
+        entries_dataset(coarse_graph),
         os.path.join(args.outdir, "graph_txt"),
     )
     with open(os.path.join(args.outdir, "metrics.json"), "w") as f:

@@ -41,20 +41,6 @@ class EngineConfig:
     # 0 disables.
     polish_sweeps: int = 3
 
-    # Louvain levels with at most this many entries run DRIVER-LOCAL
-    # (sequential Gauss-Seidel, P=1 semantics): below this size a
-    # distributed round is pure fixed cost, and sequential local moves
-    # converge better anyway. Set to 0 to force the distributed path.
-    driver_local_entries: int = 200_000
-
-    # Likewise by VERTEX count, COARSE LEVELS ONLY (level > 0): a
-    # contracted level with few vertices is driver-local even when its
-    # (weighted) entry list is large — distributing a 6k-vertex graph over
-    # 32 partitions is pure chunk-Jacobi oscillation for no parallel gain.
-    # Level 0 is gated by driver_local_entries alone, so a large input
-    # graph never silently runs serial. Set to 0 to disable.
-    driver_local_vertices: int = 100_000
-
     # Vertex-count budget for the broadcast engine: above this, iterative
     # algorithms must run on the sharded tier (state/spmv_pool.py)
     # because O(V) dense driver/broadcast state no longer fits. The
@@ -66,11 +52,12 @@ class EngineConfig:
 
 DEFAULT_CONFIG = EngineConfig()
 
-# Driver-local budget of the fixed-round graph algorithms (BFS, SSSP,
-# BFS parents, k-core, k-truss, HITS), counted in the rows each one
-# collects: CSR entries, distinct undirected pairs or directed edges. At
-# or below it the whole loop is numpy on the driver; above it BFS, SSSP,
-# k-core and HITS run on state/spmv_pool.py. Read as
-# `config.DRIVER_LOCAL_ROWS` at call time, so setting it to 0 forces the
-# pool path everywhere.
+# The one driver-local budget, counted in the rows a path collects: CSR
+# entries (Louvain levels, BFS, SSSP), distinct undirected pairs (k-core,
+# k-truss) or directed edges (HITS). At or below it the whole loop is
+# numpy on the driver — a distributed round is pure fixed cost at that
+# size, and Louvain's sequential local moves converge better; above it
+# Louvain runs on state/shard_pool.py and BFS, SSSP, k-core and HITS on
+# state/spmv_pool.py. Read as `config.DRIVER_LOCAL_ROWS` at call time,
+# so setting it to 0 forces the pool path everywhere.
 DRIVER_LOCAL_ROWS = 200_000

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 import ray.data
 
@@ -35,7 +36,7 @@ from parallel_louvain_method_ray.config import DEFAULT_CONFIG, EngineConfig
 from parallel_louvain_method_ray.graph.csr import (
     CSRShard,
     pack_shard_table,
-    shard_to_entries,
+    shards_to_entries,
     unpack_shards,
 )
 
@@ -85,73 +86,98 @@ def dedup_entries(entries: ray.data.Dataset) -> ray.data.Dataset:
 # ---------------------------------------------------------------------------
 
 
+def _key_type(*types: pa.DataType) -> pa.DataType:
+    """The one Arrow type both endpoint columns are compared in: `string`
+    for text keys, int64 for signed integers (the raw-id width of the
+    vertices table), else the first column's type (Arrow's safe cast
+    raises on a lossy mismatch)."""
+    if any(pa.types.is_string(t) or pa.types.is_large_string(t) for t in types):
+        return pa.string()
+    if all(pa.types.is_signed_integer(t) for t in types):
+        return pa.int64()
+    return types[0]
+
+
 def renumber(
     edges: ray.data.Dataset,
+    src: str = "src",
+    dst: str = "dst",
+    weight: str = "weight",
+    key: str = "raw_id",
     max_driver_ids: int = 20_000_000,
 ) -> tuple[ray.data.Dataset, ray.data.Dataset, int]:
-    """Densify vertex ids: every id appearing in src or dst is mapped to its
-    rank in the sorted distinct-id order (reference `renumber.py:25-34`).
+    """Densify vertex keys of any Arrow type (integer ids, url strings):
+    every key appearing in `src` or `dst` maps to its rank in sorted
+    order (reference `renumber.py:25-34`; Arrow sorts strings by UTF-8
+    bytes, which is code-point order).
 
-    Returns (renumbered_edges, vertices(raw_id, vid), n_vertices).
+    Returns (edges(src, dst, weight:float64), vertices(key, vid),
+    n_vertices).
 
-    Two execution paths with IDENTICAL vid assignment (tested):
-    - driver path (distinct count <= max_driver_ids): the distinct-id set
-      is collected to the driver as a sorted numpy array and broadcast;
-      the edge rewrite is a shuffle-free map_batches + np.searchsorted;
-    - scale path: `Dataset.sort` on the distinct ids + per-block prefix
-      offsets assigns dense vids without any O(V) driver array, and the
-      edge rewrite becomes two hash joins (src, then dst) against the
-      vertices Dataset — the 10^12-url web-graph route.
+    One distributed pass takes the per-block distinct keys. Their summed
+    count bounds the global distinct count, and gates two tiers with
+    IDENTICAL vid assignment (tested):
+    - driver tier (bound <= max_driver_ids): the driver dedupes and sorts
+      the keys with Arrow kernels, broadcasts them, and each edge block is
+      rewritten with `index_in` — no groupby, whose Ray Data combine pays
+      Python per distinct key;
+    - scale tier: a distinct groupby, `assign_dense_ids` (sort + per-block
+      offsets, no O(V) driver array) and two hash joins (src, then dst)
+      against the vertices Dataset — the 10^12-url web-graph route.
     """
 
-    def ids_of(batch: pa.Table) -> pa.Table:
-        s = batch.column("src").to_numpy(zero_copy_only=False)
-        d = batch.column("dst").to_numpy(zero_copy_only=False)
-        return pa.table({"raw_id": np.unique(np.concatenate([s, d]))})
-
-    distinct = (
-        edges.map_batches(ids_of, batch_format="pyarrow")
-        .groupby("raw_id")
-        .count()
-        .select_columns(["raw_id"])
-        .materialize()
-    )
-    n = distinct.count()
-    if n > max_driver_ids:
-        vertices = assign_dense_ids(distinct, "raw_id")
-        return renumber_with_join(edges, vertices), vertices, n
-
-    raw_ids = np.sort(
-        pa.concat_tables(
-            [pa.table(b) for b in distinct.iter_batches(batch_format="pyarrow")]
+    def keys_of(batch: pa.Table) -> pa.Table:
+        cols = [batch.column(src), batch.column(dst)]
+        t = _key_type(*(c.type for c in cols))
+        both = pa.chunked_array(
+            [chunk for c in cols for chunk in c.cast(t).chunks], type=t
         )
-        .column("raw_id")
-        .to_numpy(zero_copy_only=False)
+        return pa.table({key: pc.unique(both)})
+
+    blk_distinct = edges.map_batches(keys_of, batch_format="pyarrow").materialize()
+    if blk_distinct.count() > max_driver_ids:
+        distinct = blk_distinct.groupby(key).count().select_columns([key])
+        vertices = assign_dense_ids(distinct, key)
+        return (
+            _renumber_join(edges, vertices, src, dst, weight, key),
+            vertices,
+            vertices.count(),
+        )
+
+    chunks = [
+        chunk
+        for b in blk_distinct.iter_batches(batch_format="pyarrow")
+        for chunk in pa.table(b).column(key).chunks
+    ]
+    # an empty input has no typed block; its null-typed key set casts to
+    # whatever the (empty) edge blocks hold
+    ids = pc.unique(
+        pa.chunked_array(chunks, type=chunks[0].type if chunks else pa.null())
     )
-    ref = ray.put(raw_ids)
+    ids = ids.take(pc.sort_indices(ids))
+    ref = ray.put(ids)
 
     def rewrite(batch: pa.Table) -> pa.Table:
-        ids = ray.get(ref)
-        s = batch.column("src").to_numpy(zero_copy_only=False)
-        d = batch.column("dst").to_numpy(zero_copy_only=False)
+        t = _key_type(batch.column(src).type, batch.column(dst).type)
+        u = ray.get(ref).cast(t)  # zero-copy when the types already agree
+
+        def vid(col: str) -> pa.Array:
+            return pc.index_in(batch.column(col).cast(t), value_set=u).cast(
+                pa.int64()
+            )
+
         return pa.table(
             {
-                "src": np.searchsorted(ids, s).astype(np.int64),
-                "dst": np.searchsorted(ids, d).astype(np.int64),
-                "weight": batch.column("weight"),
+                "src": vid(src),
+                "dst": vid(dst),
+                "weight": batch.column(weight).cast(pa.float64()),
             }
         )
 
     vertices = ray.data.from_arrow(
-        pa.table(
-            {"raw_id": raw_ids, "vid": np.arange(raw_ids.shape[0], dtype=np.int64)}
-        )
+        pa.table({key: ids, "vid": np.arange(len(ids), dtype=np.int64)})
     )
-    return (
-        edges.map_batches(rewrite, batch_format="pyarrow"),
-        vertices,
-        int(raw_ids.shape[0]),
-    )
+    return edges.map_batches(rewrite, batch_format="pyarrow"), vertices, len(ids)
 
 
 def assign_dense_ids(
@@ -207,28 +233,43 @@ def join_partitions(requested: int | None = None, cap: int = 64) -> int:
     return max(2, min(cap, cpus // 2))
 
 
-def renumber_with_join(
+def _renumber_join(
     edges: ray.data.Dataset,
     vertices: ray.data.Dataset,
-    num_partitions: int | None = None,
+    src: str,
+    dst: str,
+    weight: str,
+    key: str,
 ) -> ray.data.Dataset:
-    """Rewrite (src, dst, weight) to dense vids via two hash joins against
-    the vertices table — no broadcast, the scale path."""
-    num_partitions = join_partitions(num_partitions)
-    v_src = vertices.map_batches(
-        lambda b: b.rename_columns(["raw_id", "src_vid"]), batch_format="pyarrow"
-    )
-    v_dst = vertices.map_batches(
-        lambda b: b.rename_columns(["raw_id", "dst_vid"]), batch_format="pyarrow"
-    )
+    """Scale-tier rewrite of `renumber`: two hash joins against the
+    (key, vid) vertices table, no broadcast. The endpoint columns are cast
+    to the key type first: a join on mismatched types (int32 ids against
+    the int64 key) fails in the aggregator."""
+    num_partitions = join_partitions()
+
+    def as_key(batch: pa.Table) -> pa.Table:
+        t = _key_type(batch.column(src).type, batch.column(dst).type)
+        return pa.table(
+            {
+                src: batch.column(src).cast(t),
+                dst: batch.column(dst).cast(t),
+                weight: batch.column(weight),
+            }
+        )
+
+    def side(vid_col: str) -> ray.data.Dataset:
+        return vertices.map_batches(
+            lambda b: b.rename_columns([key, vid_col]), batch_format="pyarrow"
+        )
+
     # materialize between the two joins: two lazy JoinOperators in flight
     # double the aggregator-actor demand and can deadlock a small cluster
-    j = edges.join(
-        v_src, join_type="inner", num_partitions=num_partitions,
-        on=("src",), right_on=("raw_id",),
+    j = edges.map_batches(as_key, batch_format="pyarrow").join(
+        side("src_vid"), join_type="inner", num_partitions=num_partitions,
+        on=(src,), right_on=(key,),
     ).materialize().join(
-        v_dst, join_type="inner", num_partitions=num_partitions,
-        on=("dst",), right_on=("raw_id",),
+        side("dst_vid"), join_type="inner", num_partitions=num_partitions,
+        on=(dst,), right_on=(key,),
     )
 
     def finish(batch: pa.Table) -> pa.Table:
@@ -236,7 +277,7 @@ def renumber_with_join(
             {
                 "src": batch.column("src_vid"),
                 "dst": batch.column("dst_vid"),
-                "weight": batch.column("weight"),
+                "weight": batch.column(weight).cast(pa.float64()),
             }
         )
 
@@ -463,21 +504,8 @@ def entries_dataset(graph: GraphHandle) -> ray.data.Dataset:
     input to the pack)."""
 
     def expand(batch: pa.Table) -> pa.Table:
-        out = []
-        for shard in unpack_shards(batch):
-            s, d, w = shard_to_entries(shard)
-            out.append(pa.table({"src": s, "dst": d, "weight": w}))
-        return (
-            pa.concat_tables(out)
-            if out
-            else pa.table(
-                {
-                    "src": np.empty(0, np.int64),
-                    "dst": np.empty(0, np.int64),
-                    "weight": np.empty(0, np.float64),
-                }
-            )
-        )
+        s, d, w = shards_to_entries(unpack_shards(batch))
+        return pa.table({"src": s, "dst": d, "weight": w})
 
     return graph.shards.map_batches(expand, batch_format="pyarrow")
 

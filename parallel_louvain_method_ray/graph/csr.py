@@ -164,3 +164,25 @@ def shard_to_entries(shard: CSRShard) -> tuple[np.ndarray, np.ndarray, np.ndarra
     counts = np.diff(shard.indptr)
     src = np.repeat(shard.vids, counts)
     return src, shard.cols, shard.weights
+
+
+def shards_to_entries(
+    shards: list[CSRShard],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (src, dst, weight) entries of `shards`, concatenated in list
+    order. Ids keep the shards' dtype (int64 from Arrow, int32 on pool
+    workers); an empty list gives empty int64 / int64 / float64 arrays."""
+    if not shards:
+        return np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.float64)
+    parts = [shard_to_entries(s) for s in shards]
+    return tuple(np.concatenate([p[i] for p in parts]) for i in range(3))
+
+
+def sum_by_key(key: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sorted distinct keys, float64 weight sum per key), each sum taken in
+    input order — the contraction step of coarsening, keyed on
+    `comm[src] * ncomms + comm[dst]`."""
+    uk, inv = np.unique(key, return_inverse=True)
+    wsum = np.zeros(uk.shape[0], dtype=np.float64)
+    np.add.at(wsum, inv, w)
+    return uk, wsum

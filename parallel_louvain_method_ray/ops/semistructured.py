@@ -26,12 +26,6 @@ import pyarrow.compute as pc
 import ray.data
 
 
-def json_int_pattern(key: str) -> str:
-    """RE2 pattern (shared verbatim with the SQL oracle) for an integer
-    member of a flat JSON object: '"key"\\s*:\\s*(-?\\d+)'."""
-    return f'"{key}"\\s*:\\s*(-?\\d+)'
-
-
 def extract_json_int(
     ds: ray.data.Dataset, col: str, key: str, out_col: str = "value"
 ) -> ray.data.Dataset:

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 import ray
 import ray.data
 
 from parallel_louvain_method_ray.algos.louvain import louvain
 from parallel_louvain_method_ray.algos.pagerank import pagerank
 from parallel_louvain_method_ray.config import DEFAULT_CONFIG, EngineConfig
-from parallel_louvain_method_ray.graph.build import build_graph
+from parallel_louvain_method_ray.graph.build import build_graph, renumber
 from parallel_louvain_method_ray.web.extract import extract_pages, links_to_edges
 from parallel_louvain_method_ray.web.pages import synthesize_pages
 
@@ -38,122 +37,13 @@ def renumber_urls(
     edges_str: ray.data.Dataset,
     max_driver_ids: int = 20_000_000,
 ) -> tuple[ray.data.Dataset, ray.data.Dataset, int]:
-    """Dense renumbering over string keys: every url appearing as src or dst
-    maps to its rank in sorted order (the string analogue of
-    `renumber.py:25-34`). Below `max_driver_ids` the distinct-url set is
-    collected + broadcast (Arrow `index_in` rewrite); above it the scale path
-    runs Dataset.sort + per-block offset ranking + two hash joins — no
-    O(V) driver state (see graph.build.assign_dense_ids)."""
-
-    def urls_of(batch: pa.Table) -> pa.Table:
-        both = pa.chunked_array(
-            [
-                chunk
-                for col in ("src_url", "dst_url")
-                for chunk in batch.column(col).cast(pa.string()).chunks
-            ],
-            type=pa.string(),
-        )
-        return pa.table({"url": pc.unique(both)})
-
-    # per-block distinct endpoints — the only distributed pass over the
-    # edge strings. The tier gate uses the SUM of per-block distinct counts
-    # (an upper bound on the global distinct count), so the driver-side
-    # dedupe below is bounded by max_driver_ids BEFORE any driver work.
-    blk_distinct = edges_str.map_batches(
-        urls_of, batch_format="pyarrow"
-    ).materialize()
-    bound = blk_distinct.count()
-    if bound > max_driver_ids:
-        # scale path: a real distinct (one groupby shuffle) + sort-rank
-        # dense ids + two hash joins — no O(V) driver state
-        from parallel_louvain_method_ray.graph.build import assign_dense_ids
-
-        distinct = (
-            blk_distinct.groupby("url").count().select_columns(["url"])
-        )
-        vertices = assign_dense_ids(distinct, "url")
-        n = vertices.count()
-        edges = _renumber_urls_join(edges_str, vertices)
-        return edges, vertices, n
-
-    # broadcast tier: the driver holds the sorted distinct-url array anyway
-    # (index_in rewrite), so dedupe HERE instead of paying a groupby
-    # shuffle first — Ray Data's sort-based aggregate costs ~per-distinct-
-    # key Python combine (measured ~7 s at 50k keys), pure overhead when
-    # Arrow's unique + sort repeat it on the driver in milliseconds. Arrow
-    # sorts strings by UTF-8 bytes, which is code-point order.
-    parts = [
-        chunk
-        for b in blk_distinct.iter_batches(batch_format="pyarrow")
-        for chunk in pa.table(b).column("url").chunks
-    ]
-    urls = pc.unique(pa.chunked_array(parts, type=pa.string()))
-    urls = urls.take(pc.sort_indices(urls))
-    ref = ray.put(urls)
-
-    def rewrite(batch: pa.Table) -> pa.Table:
-        u = ray.get(ref)
-
-        def vid(col: str) -> pa.Array:
-            found = pc.index_in(batch.column(col).cast(pa.string()), value_set=u)
-            return found.cast(pa.int64())
-
-        return pa.table(
-            {
-                "src": vid("src_url"),
-                "dst": vid("dst_url"),
-                "weight": batch.column("n_anchors").cast(pa.float64()),
-            }
-        )
-
-    vertices = ray.data.from_arrow(
-        pa.table({"url": urls, "vid": np.arange(len(urls), dtype=np.int64)})
+    """Dense url renumbering of a (src_url, dst_url, n_anchors) link table:
+    `graph.build.renumber` with url keys. Returns (edges(src, dst,
+    weight), vertices(url, vid), n)."""
+    return renumber(
+        edges_str, src="src_url", dst="dst_url", weight="n_anchors", key="url",
+        max_driver_ids=max_driver_ids,
     )
-    return (
-        edges_str.map_batches(rewrite, batch_format="pyarrow"),
-        vertices,
-        len(urls),
-    )
-
-
-def _renumber_urls_join(
-    edges_str: ray.data.Dataset,
-    vertices: ray.data.Dataset,
-    num_partitions: int | None = None,
-) -> ray.data.Dataset:
-    """Scale-path url->vid rewrite: two hash joins, no broadcast."""
-    from parallel_louvain_method_ray.graph.build import join_partitions
-
-    num_partitions = join_partitions(num_partitions)
-    v_src = vertices.map_batches(
-        lambda b: b.rename_columns(["url", "src_vid"]), batch_format="pyarrow"
-    )
-    v_dst = vertices.map_batches(
-        lambda b: b.rename_columns(["url", "dst_vid"]), batch_format="pyarrow"
-    )
-    # materialize between the two joins (one JoinOperator in flight at a
-    # time — aggregator fan-out discipline, see graph.build.join_partitions)
-    j = edges_str.join(
-        v_src, join_type="inner", num_partitions=num_partitions,
-        on=("src_url",), right_on=("url",),
-    ).materialize().join(
-        v_dst, join_type="inner", num_partitions=num_partitions,
-        on=("dst_url",), right_on=("url",),
-    )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "src": batch.column("src_vid"),
-                "dst": batch.column("dst_vid"),
-                "weight": batch.column("n_anchors")
-                .to_numpy(zero_copy_only=False)
-                .astype(np.float64),
-            }
-        )
-
-    return j.map_batches(finish, batch_format="pyarrow")
 
 
 def web_edge_table(

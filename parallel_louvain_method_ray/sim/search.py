@@ -9,11 +9,9 @@
   neighbors) are scanned. Recall/throughput trade documented in tests.
 - `ivf_assign` + `cosine_topk_ivf`: IVF (inverted-file) variant — a small
   coarse quantizer (k-means on a deterministic sample, trained on the
-  driver, broadcast once) assigns every vector a bucket; searches scan
-  only each query's `nprobe` nearest buckets. At 100 TB the build step
-  writes the bucketed table `write_parquet(partition_cols=["bucket"])`
-  once, and each search reads just its nprobe partitions off storage —
-  the filter here is the single-session stand-in for that layout.
+  driver, broadcast once) assigns every vector a bucket; a search filters
+  the bucketed Dataset to each query's `nprobe` nearest buckets and
+  scores only those rows.
 """
 
 from __future__ import annotations
@@ -221,8 +219,8 @@ def cosine_topk_ivf(
     centroids: np.ndarray | None = None,
 ) -> pa.Table:
     """IVF ANN: the data stream is pruned to the UNION of all queries'
-    `nprobe` buckets (that bounds scan cost — at 100 TB it is "read only
-    the probed partitions"), but each query's CANDIDATE set is its OWN
+    `nprobe` buckets (that bounds the scoring cost; every row is still
+    read and assigned a bucket), but each query's CANDIDATE set is its OWN
     nprobe buckets (per-query mask inside the top-k kernel), so a query's
     result never depends on which other queries it was batched with
     (ADVICE r3). Approximate — recall vs `cosine_topk` measured in tests.

@@ -45,7 +45,11 @@ from parallel_louvain_method_ray.algos._local_move import (
     local_move_sweep,
     sweep_plan,
 )
-from parallel_louvain_method_ray.graph.csr import shard_to_entries, unpack_shards
+from parallel_louvain_method_ray.graph.csr import (
+    shards_to_entries,
+    sum_by_key,
+    unpack_shards,
+)
 
 
 def _best_labels_for_shard(plan, lab: np.ndarray):
@@ -331,23 +335,8 @@ class ShardWorker:
         re-scanning the shards Dataset (used by the Louvain polish pass,
         which is gated to driver-budget-sized graphs anyway). No
         in-method package imports (see lpa_sweep)."""
-        srcs, dsts, ws = [], [], []
-        for shard in self.shards:
-            s, d, w = shard_to_entries(shard)
-            srcs.append(np.asarray(s, np.int64))
-            dsts.append(np.asarray(d, np.int64))
-            ws.append(w)
-        if not srcs:
-            return (
-                np.empty(0, np.int64),
-                np.empty(0, np.int64),
-                np.empty(0, np.float64),
-            )
-        return (
-            np.concatenate(srcs),
-            np.concatenate(dsts),
-            np.concatenate(ws),
-        )
+        src, dst, w = shards_to_entries(self.shards)
+        return src.astype(np.int64, copy=False), dst.astype(np.int64, copy=False), w
 
     def touch(self, refs: list) -> bool:
         """Keepalive: resolve a (fresh) plasma object so this process's
@@ -378,23 +367,7 @@ class ShardWorker:
         # concatenated view needs exactly one. Costs one extra copy of
         # this worker's (src, cols, weights) — O(E/W) memory.
         if self._pr_cache is None:
-            if self.shards:
-                self._pr_cache = (
-                    np.concatenate(
-                        [
-                            np.repeat(sh.vids, np.diff(sh.indptr))
-                            for sh in self.shards
-                        ]
-                    ),
-                    np.concatenate([sh.cols for sh in self.shards]),
-                    np.concatenate([sh.weights for sh in self.shards]),
-                )
-            else:
-                self._pr_cache = (
-                    np.empty(0, np.int64),
-                    np.empty(0, np.int64),
-                    np.empty(0, np.float64),
-                )
+            self._pr_cache = shards_to_entries(self.shards)
         src, cols, w = self._pr_cache
         # dense float64 return: goes to plasma and is read ZERO-COPY by the
         # driver — cheaper than pickling sparse (nz, values) pairs
@@ -420,18 +393,9 @@ class ShardWorker:
         O(n) accumulator — the dense per-worker bincount made PageRank
         O(n*W) total traffic and the bench's non-scaling term)."""
         bounds = np.asarray(bounds, dtype=np.int64)
-        if self.shards:
-            src = np.concatenate(
-                [np.repeat(sh.vids, np.diff(sh.indptr)) for sh in self.shards]
-            ).astype(np.int64)
-            cols = np.concatenate(
-                [sh.cols for sh in self.shards]
-            ).astype(np.int64)
-            w = np.concatenate([sh.weights for sh in self.shards])
-        else:
-            src = np.empty(0, np.int64)
-            cols = np.empty(0, np.int64)
-            w = np.empty(0, np.float64)
+        src, cols, w = shards_to_entries(self.shards)
+        src = src.astype(np.int64)
+        cols = cols.astype(np.int64)
         order = np.argsort(src, kind="stable")
         src_s, cols_s, w_s = src[order], cols[order], w[order]
         in_pos = np.searchsorted(src_s, bounds)
@@ -519,25 +483,22 @@ class ShardWorker:
         )
 
     def contract(self, d, ncomms: int):
-        keys, ws = [], []
-        for shard in self.shards:
-            counts = np.diff(shard.indptr)
-            src = np.repeat(shard.vids, counts)
-            key = d[src] * np.int64(ncomms) + d[shard.cols]
-            uk, inv = np.unique(key, return_inverse=True)
-            wsum = np.zeros(uk.shape[0], dtype=np.float64)
-            np.add.at(wsum, inv, shard.weights)
-            keys.append(uk)
-            ws.append(wsum)
-        if not keys:
+        # per shard, then duplicate keys combined across this worker's
+        # shards (the driver merges the workers' results the same way)
+        parts = [
+            sum_by_key(
+                d[np.repeat(sh.vids, np.diff(sh.indptr))] * np.int64(ncomms)
+                + d[sh.cols],
+                sh.weights,
+            )
+            for sh in self.shards
+        ]
+        if not parts:
             return np.empty(0, np.int64), np.empty(0, np.float64)
-        k = np.concatenate(keys)
-        w = np.concatenate(ws)
-        # combine duplicate keys across this worker's shards
-        uk, inv = np.unique(k, return_inverse=True)
-        wsum = np.zeros(uk.shape[0], dtype=np.float64)
-        np.add.at(wsum, inv, w)
-        return uk, wsum
+        return sum_by_key(
+            np.concatenate([p[0] for p in parts]),
+            np.concatenate([p[1] for p in parts]),
+        )
 
 
 def _row_assignment(graph, num_workers: int | None):
@@ -694,19 +655,10 @@ class ShardPool:
         in ONE wave from the workers' in-memory shards — ~10x faster than
         re-scanning the shards Dataset driver-side for graphs small enough
         to polish (the only caller)."""
+        # every worker returns typed (int64, int64, float64) arrays, empty
+        # ones included, so the concatenation keeps the dtypes
         outs = ray.get([w.dump_entries.remote() for w in self.workers])
-        outs = [o for o in outs if o[0].shape[0]]
-        if not outs:
-            return (
-                np.empty(0, np.int64),
-                np.empty(0, np.int64),
-                np.empty(0, np.float64),
-            )
-        return (
-            np.concatenate([o[0] for o in outs]),
-            np.concatenate([o[1] for o in outs]),
-            np.concatenate([o[2] for o in outs]),
-        )
+        return tuple(np.concatenate([o[i] for o in outs]) for i in range(3))
 
     # below this vertex count the driver sums the W dense partials itself:
     # the reduce-scatter's fan-out (W^2 slice objects + 2W task schedules)
@@ -925,9 +877,7 @@ class ShardPool:
         outs = ray.get([w.contract.remote(ref, ncomms) for w in self.workers])
         k = np.concatenate([o[0] for o in outs]) if outs else np.empty(0, np.int64)
         w = np.concatenate([o[1] for o in outs]) if outs else np.empty(0, np.float64)
-        uk, inv = np.unique(k, return_inverse=True)
-        wsum = np.zeros(uk.shape[0], dtype=np.float64)
-        np.add.at(wsum, inv, w)
+        uk, wsum = sum_by_key(k, w)
         src = (uk // ncomms).astype(np.int64)
         dst = (uk % ncomms).astype(np.int64)
         return src, dst, wsum

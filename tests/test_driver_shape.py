@@ -98,9 +98,13 @@ labels, meta = label_propagation(g, max_sweeps=2)
 assert labels.shape[0] == g.n
 # distributed levels end in the polish pass, which gathers the entry list
 # from the workers (ShardWorker.dump_entries)
-res = louvain(g, EngineConfig(
-    num_partitions=4, driver_local_entries=0, driver_local_vertices=0,
-))
+import importlib
+from parallel_louvain_method_ray import config
+config.DRIVER_LOCAL_ROWS = 0
+importlib.import_module(
+    "parallel_louvain_method_ray.algos.louvain"
+).DRIVER_LOCAL_VERTICES = 0
+res = louvain(g, EngineConfig(num_partitions=4))
 assert res.assignments.shape[0] == g.n
 print("FOREIGN_CWD_OK", meta.get("sweeps"))
 ray.shutdown()

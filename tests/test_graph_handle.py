@@ -12,7 +12,13 @@ from parallel_louvain_method_ray.graph.build import (
     build_graph_small,
     graph_from_entry_arrays,
 )
-from parallel_louvain_method_ray.graph.csr import shard_to_entries, unpack_shards
+from parallel_louvain_method_ray.graph.csr import (
+    CSRShard,
+    shard_to_entries,
+    shards_to_entries,
+    sum_by_key,
+    unpack_shards,
+)
 from parallel_louvain_method_ray.state.shard_pool import _row_assignment
 
 
@@ -125,3 +131,48 @@ def test_build_graph_small_empty():
     np.testing.assert_array_equal(g.degrees(), np.zeros(3))
     refs, _ = _row_assignment(g, 2)
     assert ray.get(refs[0]).num_rows == 0
+
+
+def _int32(sh: CSRShard) -> CSRShard:
+    """The int32 id copy `ShardWorker.load` keeps of a shard."""
+    return CSRShard(
+        sh.pid, sh.vids.astype(np.int32), sh.indptr, sh.cols.astype(np.int32),
+        sh.weights,
+    )
+
+
+@pytest.mark.parametrize("worker_ids", [False, True])
+def test_shards_to_entries_equals_per_shard_concat(worker_ids):
+    src, dst, w = _edges()  # holds self-loops
+    g = graph_from_entry_arrays(src, dst, w, EngineConfig(num_partitions=4))
+    empty_row = CSRShard(
+        9, np.empty(0, np.int64), np.zeros(1, np.int64), np.empty(0, np.int64),
+        np.empty(0, np.float64),
+    )
+    shards = _shards(g)
+    shards = shards[:2] + [empty_row] + shards[2:]
+    if worker_ids:
+        shards = [_int32(sh) for sh in shards]
+    got = shards_to_entries(shards)
+    parts = [shard_to_entries(sh) for sh in shards]
+    id_type = np.int32 if worker_ids else np.int64
+    for i, dtype in enumerate((id_type, id_type, np.float64)):
+        want = np.concatenate([p[i] for p in parts])
+        assert got[i].dtype == dtype  # no cast added on worker shards
+        np.testing.assert_array_equal(got[i], want)
+    assert int((got[0] == got[1]).sum()) > 0  # self-loops survive
+    assert got[0].shape[0] == g.n_entries
+
+    none = shards_to_entries([])
+    assert [a.dtype for a in none] == [np.int64, np.int64, np.float64]
+    assert all(a.shape == (0,) for a in none)
+    only_empty = shards_to_entries([empty_row])
+    assert [a.shape[0] for a in only_empty] == [0, 0, 0]
+
+
+def test_sum_by_key_sums_in_input_order():
+    key = np.array([7, 3, 7, 7, 3, 1], dtype=np.int64)
+    w = np.array([0.1, 0.2, 0.3, 1e16, -1e16, 0.5])
+    uk, ws = sum_by_key(key, w)
+    np.testing.assert_array_equal(uk, [1, 3, 7])
+    assert ws.tolist() == [0.5, 0.2 + -1e16, (0.1 + 0.3) + 1e16]

@@ -1,8 +1,11 @@
 """Distributed (Ray Data) Louvain vs the sequential oracle."""
 
+import importlib
+
 import numpy as np
 import pytest
 
+from parallel_louvain_method_ray import config
 from parallel_louvain_method_ray.algos.louvain import (
     canonicalize_labels,
     louvain,
@@ -24,6 +27,9 @@ from tests.fixtures import (
     planted_partition_graph,
     random_graph,
 )
+
+# the module itself: `algos.louvain` on the package is the function
+LOUVAIN_MODULE = importlib.import_module("parallel_louvain_method_ray.algos.louvain")
 
 
 def test_distributed_modularity_matches_oracle_initial():
@@ -89,14 +95,15 @@ def test_multilevel_matches_oracle_p1():
     )
 
 
-def test_polish_closes_jacobi_gap_p8():
+def test_polish_closes_jacobi_gap_p8(monkeypatch):
     """Distributed levels (chunked Jacobi) + strict-GS polish must land
     within 0.005 of the sequential oracle's Q on a planted graph at P=8."""
     src, dst, w, _ = planted_partition_graph(240, 8, 6, 1, seed=17)
     _, q_oracle, _ = louvain_reference(src, dst, w, tie_break="canonical")
-    cfg = EngineConfig(
-        num_partitions=8, driver_local_entries=0, driver_local_vertices=0
-    )
+    # force the distributed pool path on every level
+    monkeypatch.setattr(config, "DRIVER_LOCAL_ROWS", 0)
+    monkeypatch.setattr(LOUVAIN_MODULE, "DRIVER_LOCAL_VERTICES", 0)
+    cfg = EngineConfig(num_partitions=8)
     res = louvain(graph_from_entry_arrays(src, dst, w, cfg))
     assert res.modularity >= q_oracle - 0.005
 

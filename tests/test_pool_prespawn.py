@@ -54,15 +54,22 @@ def test_prespawn_shutdown_before_attach_is_clean():
     assert pre.workers == []
 
 
-def test_louvain_external_pool_parity_and_survival():
+def test_louvain_external_pool_parity_and_survival(monkeypatch):
+    import importlib
+
+    from parallel_louvain_method_ray import config
     from parallel_louvain_method_ray.algos.louvain import louvain
 
-    g = _planted(seed=23, n=200)
-    cfg = EngineConfig(
-        num_partitions=4,
-        driver_local_entries=0,  # force the distributed pool path
-        driver_local_vertices=0,
+    # the module itself: `algos.louvain` on the package is the function
+    louvain_mod = importlib.import_module(
+        "parallel_louvain_method_ray.algos.louvain"
     )
+
+    g = _planted(seed=23, n=200)
+    # force the distributed pool path
+    monkeypatch.setattr(config, "DRIVER_LOCAL_ROWS", 0)
+    monkeypatch.setattr(louvain_mod, "DRIVER_LOCAL_VERTICES", 0)
+    cfg = EngineConfig(num_partitions=4)
     res_own = louvain(g, cfg, m_mode="weight")
     pool = ShardPool(num_workers=2)  # caller-owned, prespawned
     try:

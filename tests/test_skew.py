@@ -3,13 +3,11 @@
 import numpy as np
 import pyarrow as pa
 import pytest
-import ray.data
 
 from parallel_louvain_method_ray.algos.pagerank import pagerank, pagerank_oracle
 from parallel_louvain_method_ray.config import EngineConfig
 from parallel_louvain_method_ray.graph.build import graph_from_entry_arrays
 from parallel_louvain_method_ray.graph.csr import pack_shard_table, unpack_shards
-from parallel_louvain_method_ray.ops.agg import degree_histogram, salted_groupby_sum
 
 
 def _hub_edges(n=300, hub_frac=0.3, seed=5):
@@ -47,40 +45,3 @@ def test_shard_splitting_on_hub_partition():
     r1, _ = pagerank(g1, tol=0.0, max_iter=5)
     r2, _ = pagerank(g2, tol=0.0, max_iter=5)
     np.testing.assert_allclose(r1, r2, atol=1e-12)
-
-
-def test_salted_groupby_equals_direct():
-    src, dst, w = _hub_edges()
-    ds = ray.data.from_arrow(
-        pa.table({"src": src, "dst": dst, "weight": w})
-    )
-    salted = pa.concat_tables(
-        [
-            pa.table(b)
-            for b in salted_groupby_sum(ds, "src", "weight", n_salts=8).iter_batches(
-                batch_format="pyarrow"
-            )
-        ]
-    ).to_pandas().sort_values("src", ignore_index=True)
-    direct = (
-        pa.concat_tables(
-            [
-                pa.table(b)
-                for b in ds.groupby("src").sum("weight").iter_batches(
-                    batch_format="pyarrow"
-                )
-            ]
-        )
-        .to_pandas()
-        .sort_values("src", ignore_index=True)
-    )
-    np.testing.assert_array_equal(salted["src"], direct["src"])
-    np.testing.assert_allclose(salted["sum_weight"], direct["sum(weight)"])
-
-
-def test_degree_histogram_flags_hub():
-    src, dst, w = _hub_edges()
-    ds = ray.data.from_arrow(pa.table({"src": src, "dst": dst, "weight": w}))
-    hist = degree_histogram(ds).to_pandas()
-    # the hub's bucket (log2 of ~390 edges) is far above the typical bucket
-    assert hist.degree_bucket_pow2.max() >= 7
