@@ -22,7 +22,7 @@ Tiers (the engine's documented ladder):
   state is O(E/2) pair keys, the same class as the triangles broadcast
   mode's oriented-key array; the join tier for 50M+ entry graphs would
   replace the probe broadcast with the wedge/key hash join exactly as
-  `triangle_counts(mode="join")` does.
+  `triangle_counts` does above `triangles.JOIN_THRESHOLD_ENTRIES`.
 
 Key packing is a*n + b (n = vertex-id bound), int64-safe for n < 3e9;
 the 10^12-vertex route switches to the split (a, b) join keys the link

@@ -11,15 +11,16 @@ at most C(d+(u), 2) of them, bounded by orientation), orient each pair,
 and probe whether the oriented edge (a, b) exists. Every hit closes the
 triangle {u, a, b}; counts are credited to all three vertices.
 
-Two probe execution modes:
-- "broadcast" (default below `join_threshold_entries`): the sorted oriented
+Two probe execution modes, chosen by the CSR entry count:
+- "broadcast" (at or below `JOIN_THRESHOLD_ENTRIES`): the sorted oriented
   edge-key array (E/2 int64) is ray.put once; each shard task probes its
   wedges with one vectorized np.searchsorted. Zero shuffles.
-- "join": the wedges are a Dataset (key, u) hash-joined against the
-  oriented-edge Dataset (key) — no O(E) broadcast, one shuffle; this is
-  the 100 TB path (the oriented adjacency is never materialized on any
-  single worker). The O(V) unweighted-degree array is still broadcast
-  (same budget as every other algo here; V << E on web graphs).
+- "join" (above it): the wedges are a Dataset (key, u) hash-joined
+  against the oriented-edge Dataset (key) — no O(E) broadcast, one
+  shuffle; this is the 100 TB path (the oriented adjacency is never
+  materialized on any single worker). The O(V) unweighted-degree array
+  is still broadcast (same budget as every other algo here; V << E on
+  web graphs).
 
 Both modes produce identical counts (tested); pair-level dedup of
 multigraph entries (same (src, dst) with two weights) happens in both the
@@ -160,25 +161,22 @@ def _oriented_key_ds(graph: GraphHandle, deg_ref) -> ray.data.Dataset:
     return graph.shards.map_batches(orient, batch_format="pyarrow")
 
 
-def triangle_counts(
-    graph: GraphHandle, method: str = "auto"
-) -> tuple[np.ndarray, int]:
+def triangle_counts(graph: GraphHandle) -> tuple[np.ndarray, int]:
     """Returns (per-vertex triangle counts int64[n], global triangle count).
-    `method`: "broadcast" | "join" | "auto" (join above
-    JOIN_THRESHOLD_ENTRIES)."""
+    The probe runs in "join" mode above JOIN_THRESHOLD_ENTRIES CSR entries
+    and in "broadcast" mode otherwise."""
     n = graph.n
     if n == 0:
         return np.zeros(0, dtype=np.int64), 0
     # id-key packing needs n^2 < 2^63; beyond ~3e9 vertices switch the join
     # key to the two-column (a, b) form
-    assert n < 3_000_000_000, "single-int64 pair keys need n < 3e9"
+    if n >= 3_000_000_000:
+        raise ValueError(f"single-int64 pair keys need n < 3e9, got n={n}")
     deg = _unweighted_degrees(graph)
     deg_ref = ray.put(deg)
-    if method == "auto":
-        method = "join" if graph.n_entries > JOIN_THRESHOLD_ENTRIES else "broadcast"
 
     per_vertex = np.zeros(n, dtype=np.int64)
-    if method == "broadcast":
+    if graph.n_entries <= JOIN_THRESHOLD_ENTRIES:
         keys = np.sort(
             np.concatenate(
                 [

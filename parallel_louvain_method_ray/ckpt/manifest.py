@@ -207,8 +207,12 @@ class LouvainCheckpointer:
             n_vertices=man["n"],
         )
         # integrity: the rebuilt graph must match the manifest lineage
-        assert graph.n_entries == man["n_entries"], "lineage mismatch on resume"
-        assert graph.m == man["m"]
+        if (graph.n_entries, graph.m) != (man["n_entries"], man["m"]):
+            raise ValueError(
+                f"lineage mismatch on resume of level {level}: rebuilt graph "
+                f"has n_entries={graph.n_entries}, m={graph.m}; manifest "
+                f"has n_entries={man['n_entries']}, m={man['m']}"
+            )
 
         sweeps = sorted(
             int(n.split("=")[1])

@@ -1,5 +1,5 @@
 """Distributed analytics operators: exact quantiles, group-wise top-k,
-anti/semi join, deterministic sampling.
+anti join, deterministic sampling.
 
 Each is expressed Ray-Data-first and sized for the 100 TB regime:
 
@@ -16,15 +16,9 @@ Each is expressed Ray-Data-first and sized for the 100 TB regime:
   final top-k. The pre-prune bounds the shuffle to O(k * groups *
   blocks) rows instead of the whole table — the same partial-combine
   trick as pre-aggregation before a groupby.
-- **Anti/semi join**, two tiers:
-  - `broadcast_anti_join` / `broadcast_semi_join`: the filter side is
-    collapsed to DISTINCT keys by a distributed aggregate; the
-    distinct-key array is broadcast once via `ray.put` and each batch
-    filters with a vectorized `np.isin`. Correct while the DISTINCT key
-    count fits a worker heap (dimension-table scale).
-  - `shuffle_anti_join` / `shuffle_semi_join`: fact-vs-fact — distinct
-    keys stay a Dataset, marked, left_outer hash-joined to the left
-    side, marker-null filtered. No driver/broadcast state at all.
+- **Anti join** (`shuffle_anti_join`): fact-vs-fact — distinct keys
+  stay a Dataset, marked, left_outer hash-joined to the left side,
+  marker-null filtered. No driver/broadcast state at all.
 - **Deterministic sampling** (`hash_sample`): keep rows where
   md5(key) % denom < num — reproducible across runs/engines (the SQL
   oracle recomputes the same predicate), streaming, no shuffle.
@@ -66,42 +60,6 @@ def exact_quantiles(
     return pa.table(
         {"q": pa.array(out_q, pa.float64()), "value": pa.array(out_v)}
     )
-
-
-def group_quantiles(
-    ds: ray.data.Dataset,
-    key_col: str,
-    value_col: str,
-    qs: list[float],
-) -> ray.data.Dataset:
-    """Exact percentile_disc quantiles PER GROUP: (key, q, value) rows,
-    value = the smallest group element whose cumulative count reaches
-    max(1, ceil(q * n)) — values are picked, never interpolated, so the
-    result hash-compares against SQL bit-for-bit.
-
-    One groupby shuffle, per-group numpy sort inside map_groups; output
-    is O(groups x len(qs)). The rank is computed as ceil(double(q) *
-    double(n)) on BOTH sides (not the exact rational) so inexact qs like
-    0.9 round identically here and in the oracle."""
-
-    def per_group(group: pa.Table) -> pa.Table:
-        v = np.sort(group.column(value_col).to_numpy(zero_copy_only=False))
-        n = v.shape[0]
-        ranks = np.maximum(1, np.ceil(np.float64(n) * np.asarray(qs))).astype(
-            np.int64
-        )
-        return pa.table(
-            {
-                key_col: pa.array(
-                    [group.column(key_col)[0].as_py()] * len(qs),
-                    group.column(key_col).type,
-                ),
-                "q": pa.array(list(qs), pa.float64()),
-                "value": pa.array(v[ranks - 1]),
-            }
-        )
-
-    return ds.groupby(key_col).map_groups(per_group, batch_format="pyarrow")
 
 
 def running_total(
@@ -260,49 +218,6 @@ def topk_per_group(
     )
 
 
-def _distinct_keys(ds: ray.data.Dataset, col: str) -> np.ndarray:
-    """Distributed distinct (groupby count, discards counts) -> driver
-    array. O(distinct) driver state — dimension-table contract."""
-    t = ds.groupby(col).count().to_pandas()
-    return t[col].to_numpy()
-
-
-def broadcast_semi_join(
-    left: ray.data.Dataset,
-    right: ray.data.Dataset,
-    *,
-    left_key: str,
-    right_key: str,
-) -> ray.data.Dataset:
-    """left rows whose key EXISTS in right (no right columns attached)."""
-    keys_ref = ray.put(np.unique(_distinct_keys(right, right_key)))
-
-    def keep(batch: pa.Table) -> pa.Table:
-        keys = ray.get(keys_ref)  # worker-local plasma read, zero-copy
-        v = batch.column(left_key).to_numpy(zero_copy_only=False)
-        return batch.filter(pa.array(np.isin(v, keys)))
-
-    return left.map_batches(keep, batch_format="pyarrow")
-
-
-def broadcast_anti_join(
-    left: ray.data.Dataset,
-    right: ray.data.Dataset,
-    *,
-    left_key: str,
-    right_key: str,
-) -> ray.data.Dataset:
-    """left rows whose key does NOT exist in right."""
-    keys_ref = ray.put(np.unique(_distinct_keys(right, right_key)))
-
-    def keep(batch: pa.Table) -> pa.Table:
-        keys = ray.get(keys_ref)
-        v = batch.column(left_key).to_numpy(zero_copy_only=False)
-        return batch.filter(pa.array(~np.isin(v, keys)))
-
-    return left.map_batches(keep, batch_format="pyarrow")
-
-
 def _marked_distinct(ds: ray.data.Dataset, col: str):
     """Distributed distinct keys + an int8 marker column, as a Dataset.
     Returns (marked Dataset with columns (col, '__plm_hit'), n_distinct)."""
@@ -316,33 +231,27 @@ def _marked_distinct(ds: ray.data.Dataset, col: str):
     return distinct.map_batches(mark, batch_format="pyarrow"), distinct.count()
 
 
-def _shuffle_exist_join(
+def shuffle_anti_join(
     left: ray.data.Dataset,
     right: ray.data.Dataset,
     *,
     left_key: str,
     right_key: str,
-    keep_hits: bool,
 ) -> ray.data.Dataset:
-    """Fact-vs-fact anti/semi join: NO broadcast key set. The right side
-    is collapsed to distinct keys (one groupby shuffle), marked, and
-    left_outer-joined to the left on the key — both operands stream
-    through the bounded-fan-out hash join (`_join` discipline); the marker
-    null-filter picks anti (null) or semi (non-null) rows. Driver state:
-    none. This is the variant `broadcast_anti_join`'s contract defers to
-    when the filter side's distinct-key count exceeds a worker heap."""
+    """left rows whose key does NOT exist in right. Fact-vs-fact: NO
+    broadcast key set. The right side is collapsed to distinct keys (one
+    groupby shuffle), marked, and left_outer-joined to the left on the
+    key — both operands stream through the bounded-fan-out hash join
+    (`_join` discipline); rows with a null marker are the anti rows.
+    Driver state: none."""
     from parallel_louvain_method_ray.algos.joined import _join, _size_aware_P
 
     marked, n_keys = _marked_distinct(right, right_key)
-    left_cols = [f.name for f in left.schema().base_schema]
     if n_keys == 0:
         # left_outer against an empty operand crashes Ray 2.49's join
         # finalize; the answer is trivial anyway
-        if keep_hits:
-            return ray.data.from_arrow(
-                pa.Table.from_pylist([], schema=left.schema().base_schema)
-            )
         return left
+    left_cols = [f.name for f in left.schema().base_schema]
     P = _size_aware_P(max(left.count(), n_keys))
     j = _join(
         left,
@@ -354,39 +263,11 @@ def _shuffle_exist_join(
     )
 
     def keep(batch: pa.Table) -> pa.Table:
-        hit = batch.column("__plm_hit")
-        sel = pc.is_valid(hit) if keep_hits else pc.is_null(hit)
-        return batch.filter(sel).select(left_cols)
+        return batch.filter(pc.is_null(batch.column("__plm_hit"))).select(
+            left_cols
+        )
 
     return j.map_batches(keep, batch_format="pyarrow")
-
-
-def shuffle_anti_join(
-    left: ray.data.Dataset,
-    right: ray.data.Dataset,
-    *,
-    left_key: str,
-    right_key: str,
-) -> ray.data.Dataset:
-    """left rows whose key does NOT exist in right — shuffle variant
-    (both sides may be fact-scale)."""
-    return _shuffle_exist_join(
-        left, right, left_key=left_key, right_key=right_key, keep_hits=False
-    )
-
-
-def shuffle_semi_join(
-    left: ray.data.Dataset,
-    right: ray.data.Dataset,
-    *,
-    left_key: str,
-    right_key: str,
-) -> ray.data.Dataset:
-    """left rows whose key EXISTS in right (no right columns attached) —
-    shuffle variant (both sides may be fact-scale)."""
-    return _shuffle_exist_join(
-        left, right, left_key=left_key, right_key=right_key, keep_hits=True
-    )
 
 
 def chunk_documents(
@@ -579,6 +460,51 @@ def rollup_aggregate(
     )
     out["grouping_level"] = out["grouping_level"].astype("int64")
     return pa.Table.from_pandas(out, preserve_index=False)
+
+
+def column_profile(
+    ds: ray.data.Dataset, columns: list[str]
+) -> ray.data.Dataset:
+    """Column profiling in ONE streaming pass: (column, n_rows, n_null,
+    min_v, max_v) per numeric column. Each batch emits one partial row
+    per column and a groupby over the len(columns)-row column domain
+    merges them. NULLs are skipped as in SQL: a batch with no non-null
+    value emits a null min/max partial, Min/Max ignore null partials, and
+    a column that is null everywhere profiles to a null min_v/max_v."""
+    from ray.data.aggregate import Max, Min, Sum
+
+    def partial(b: pa.Table) -> pa.Table:
+        mm = [pc.min_max(b.column(c).cast(pa.float64())) for c in columns]
+        return pa.table(
+            {
+                "column": pa.array(columns, pa.string()),
+                "n_rows": pa.array([b.num_rows] * len(columns), pa.int64()),
+                "n_null": pa.array(
+                    [b.column(c).null_count for c in columns], pa.int64()
+                ),
+                "min_v": pa.array([m["min"] for m in mm], pa.float64()),
+                "max_v": pa.array([m["max"] for m in mm], pa.float64()),
+            }
+        )
+
+    agg = (
+        ds.map_batches(partial, batch_format="pyarrow")
+        .groupby("column")
+        .aggregate(
+            Sum("n_rows"),
+            Sum("n_null"),
+            Min("min_v", ignore_nulls=True),
+            Max("max_v", ignore_nulls=True),
+        )
+    )
+    return agg.rename_columns(
+        {
+            "sum(n_rows)": "n_rows",
+            "sum(n_null)": "n_null",
+            "min(min_v)": "min_v",
+            "max(max_v)": "max_v",
+        }
+    )
 
 
 def lag_diff(

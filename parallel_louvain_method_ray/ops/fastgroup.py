@@ -102,124 +102,3 @@ def count_by_key_sorted(ds: ray.data.Dataset, key: str) -> ray.data.Dataset:
     # sorted batches), so type inference matches the interior-run tables
     btable = pa.table({key: pa.array(bkeys), "n": pa.array(btotals, pa.int64())})
     return inter.union(ray.data.from_arrow(btable))
-
-
-def sum_by_key_sorted(
-    ds: ray.data.Dataset, key: str, value_cols: list[str]
-) -> ray.data.Dataset:
-    """Exact ``(key, n, sum(<v>)...)`` per distinct key — the rows of
-    ``ds.groupby(key).aggregate(Count(), Sum(v)...)`` with columns named
-    ``n`` and ``sum_<v>``, via the same sort + run-scan machinery as
-    `count_by_key_sorted` (no per-distinct-key Python combine). INTEGER
-    value columns only — integer addition is associative, so partials
-    merge exactly under any block split.
-
-    Boundary handling generalizes `boundary_run_totals`: each batch
-    ships its first/last run's (key, n, partial sums) to the driver; the
-    driver reduceat-merges runs of the same key — O(2 x batches) driver
-    rows regardless of key-domain size."""
-    s = ds.sort(key).materialize()
-
-    def boundary_rows(batch: pa.Table) -> pa.Table:
-        k = batch.column(key).to_numpy(zero_copy_only=False)
-        vs = {
-            c: batch.column(c).to_numpy(zero_copy_only=False)
-            for c in value_cols
-        }
-        for c, v in vs.items():
-            if not np.issubdtype(v.dtype, np.integer):
-                raise TypeError(
-                    f"sum_by_key_sorted needs integer values, {c} is {v.dtype}"
-                )
-        if k.shape[0] == 0:
-            return pa.table(
-                {
-                    key: k,
-                    "n": np.empty(0, np.int64),
-                    **{
-                        f"sum_{c}": np.empty(0, np.int64) for c in value_cols
-                    },
-                }
-            )
-        if k[0] == k[-1]:
-            return pa.table(
-                {
-                    key: k[:1],
-                    "n": np.array([k.shape[0]], np.int64),
-                    **{
-                        f"sum_{c}": np.array([int(v.sum())], np.int64)
-                        for c, v in vs.items()
-                    },
-                }
-            )
-        head = int(np.searchsorted(k, k[0], side="right"))
-        tail = k.shape[0] - int(np.searchsorted(k, k[-1], side="left"))
-        return pa.table(
-            {
-                key: np.array([k[0], k[-1]]),
-                "n": np.array([head, tail], np.int64),
-                **{
-                    f"sum_{c}": np.array(
-                        [int(v[:head].sum()), int(v[k.shape[0] - tail:].sum())],
-                        np.int64,
-                    )
-                    for c, v in vs.items()
-                },
-            }
-        )
-
-    parts = [
-        pa.table(b)
-        for b in s.map_batches(
-            boundary_rows, batch_format="pyarrow", batch_size=None
-        ).iter_batches(batch_format="pyarrow")
-    ]
-    sum_names = [f"sum_{c}" for c in value_cols]
-    if parts and (rows := pa.concat_tables(parts)).num_rows > 0:
-        bk = rows.column(key).to_numpy(zero_copy_only=False)
-        order = np.argsort(bk, kind="stable")
-        bk = bk[order]
-        starts, _ = _runs_sorted(bk)
-        merged = {key: pa.array(bk[starts])}
-        bn = rows.column("n").to_numpy(zero_copy_only=False)[order]
-        merged["n"] = pa.array(
-            np.add.reduceat(bn, starts).astype(np.int64), pa.int64()
-        )
-        for c in sum_names:
-            bv = rows.column(c).to_numpy(zero_copy_only=False)[order]
-            merged[c] = pa.array(
-                np.add.reduceat(bv, starts).astype(np.int64), pa.int64()
-            )
-        btable = pa.table(merged)
-    else:
-        btable = pa.table(
-            {
-                key: pa.array([], pa.int64()),
-                "n": pa.array([], pa.int64()),
-                **{c: pa.array([], pa.int64()) for c in sum_names},
-            }
-        )
-
-    def interior_runs(batch: pa.Table) -> pa.Table:
-        k = batch.column(key).to_numpy(zero_copy_only=False)
-        starts, lens = _runs_sorted(k)
-        if starts.shape[0] <= 2:
-            # whole batch is boundary runs
-            return pa.table(
-                {
-                    key: k[:0],
-                    "n": np.empty(0, np.int64),
-                    **{c: np.empty(0, np.int64) for c in sum_names},
-                }
-            )
-        out = {key: k[starts[1:-1]]}
-        out["n"] = lens[1:-1].astype(np.int64)
-        # reduceat over ALL runs, then drop the boundary first/last
-        for c in value_cols:
-            v = batch.column(c).to_numpy(zero_copy_only=False)
-            sums = np.add.reduceat(v, starts)
-            out[f"sum_{c}"] = sums[1:-1].astype(np.int64)
-        return pa.table(out)
-
-    inter = s.map_batches(interior_runs, batch_format="pyarrow", batch_size=None)
-    return inter.union(ray.data.from_arrow(btable))

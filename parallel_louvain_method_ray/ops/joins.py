@@ -1,8 +1,6 @@
-"""Custom join operators Ray Data lacks: as-of join and range join.
+"""Custom time operators Ray Data lacks: as-of join and hopping window.
 
-Both follow the brief's guidance for operators missing from the Dataset
-API: express them as compositions of `map_batches` + `groupby().map_groups`
-(as-of) or a broadcast small-side lookup (range join) rather than raw Ray
+Both are compositions of `map_batches` + `groupby()` rather than raw Ray
 tasks.
 
 **As-of join** (`asof_join`): for every left row (key, t), attach the
@@ -14,14 +12,6 @@ payload columns are null on the other side), ONE hash shuffle
 group — no per-row Python in the match step. Partitioning assumption: a
 single `by`-key's rows fit in one group (same contract as any
 groupby().map_groups); salt hot keys upstream if a key is pathological.
-
-**Range join** (`range_join_broadcast`): classify left rows into
-non-overlapping [lo, hi) bands from a SMALL band table. The band edges are
-broadcast once (closure capture of a tiny sorted array — worker-cached,
-not re-shipped per batch) and matched with `np.searchsorted`; the big side
-streams. For a LARGE range table, pre-bucket both sides on a shared grid
-and fall back to a bucket-key equi-join — documented, not needed for the
-band cardinalities here.
 """
 
 from __future__ import annotations
@@ -36,10 +26,7 @@ _SIDE_LEFT = 1
 
 
 def _as_int64(tbl: pa.Table, col: str) -> pa.ChunkedArray:
-    c = tbl.column(col)
-    if pa.types.is_timestamp(c.type):
-        return c.cast(pa.int64())
-    return c.cast(pa.int64())
+    return tbl.column(col).cast(pa.int64())
 
 
 def asof_join(
@@ -155,87 +142,6 @@ def asof_join(
     return tagged.groupby("key").map_groups(merge, batch_format="pyarrow")
 
 
-def range_join_broadcast(
-    left: ray.data.Dataset,
-    bands: list[tuple[str, float, float]],
-    *,
-    value_col: str,
-    keep_cols: list[str],
-    band_col: str = "band",
-) -> ray.data.Dataset:
-    """Join left rows to the band whose [lo, hi) contains `value_col`.
-
-    `bands` must be non-overlapping and sorted by lo; rows outside every
-    band are dropped (inner-join semantics, matching the SQL inequality
-    join oracle)."""
-    names = [b[0] for b in bands]
-    los = np.array([b[1] for b in bands], dtype=np.float64)
-    his = np.array([b[2] for b in bands], dtype=np.float64)
-    if not (np.all(np.diff(los) > 0) and np.all(his[:-1] <= los[1:])):
-        raise ValueError("bands must be sorted and non-overlapping")
-
-    def classify(batch: pa.Table) -> pa.Table:
-        v = batch.column(value_col).to_numpy(zero_copy_only=False)
-        idx = np.searchsorted(los, v, side="right") - 1
-        ok = (idx >= 0) & (v < his[np.clip(idx, 0, None)])
-        sel = np.flatnonzero(ok)
-        out = {c: batch.column(c).take(pa.array(sel)) for c in keep_cols}
-        out[band_col] = pa.array(
-            np.array(names, dtype=object)[idx[sel]].tolist(), pa.string()
-        )
-        return pa.table(out)
-
-    return left.map_batches(classify, batch_format="pyarrow")
-
-
-def tumbling_window(
-    events: ray.data.Dataset,
-    *,
-    ts_col: str,
-    key_col: str,
-    value_col: str,
-    window_us: int,
-) -> ray.data.Dataset:
-    """Tumbling-window aggregate: (key, window_start) -> count + sum(value).
-
-    Pre-aggregation happens inside the partial combine of Ray's groupby
-    (hash shuffle on (key, bucket)); the bucket assignment itself is a
-    streaming vectorized map."""
-
-    def bucketize(batch: pa.Table) -> pa.Table:
-        ts = _as_int64(batch, ts_col).to_numpy(zero_copy_only=False)
-        start = (ts // window_us) * window_us
-        return pa.table(
-            {
-                key_col: batch.column(key_col),
-                "window_start": pa.array(start, pa.int64()),
-                value_col: batch.column(value_col),
-            }
-        )
-
-    from ray.data.aggregate import Count, Sum
-
-    agg = (
-        events.map_batches(bucketize, batch_format="pyarrow")
-        .groupby([key_col, "window_start"])
-        .aggregate(Count(), Sum(value_col))
-    )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                key_col: batch.column(key_col),
-                "window_start": batch.column("window_start"),
-                "n_events": batch.column("count()").cast(pa.int64()),
-                "sum_value": pc.round(
-                    batch.column(f"sum({value_col})"), ndigits=6
-                ),
-            }
-        )
-
-    return agg.map_batches(finish, batch_format="pyarrow")
-
-
 def hopping_window(
     events: ray.data.Dataset,
     *,
@@ -251,7 +157,7 @@ def hopping_window(
 
     100 TB shape — hopping is NOT "emit every event k times then shuffle":
     that multiplies shuffle volume by k. It is tumbling at HOP granularity
-    (one shuffle of 1x the events, partial-combined like tumbling_window)
+    (one shuffle of 1x the events, partial-combined inside the groupby)
     followed by a k-way expansion of the already-tiny per-(key, hop)
     aggregates and a second groupby whose input is |distinct keys x hops|
     rows, not |events|. Values ride as exact cents

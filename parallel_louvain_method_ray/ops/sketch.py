@@ -28,6 +28,7 @@ import math
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data
 
 from parallel_louvain_method_ray.dedup.minhash import md5_lower64
@@ -165,31 +166,26 @@ def hll_group_rhos(
     Hash = md5_number_lower(CAST(key AS VARCHAR)), mirrored in SQL."""
 
     def partials(batch: pa.Table) -> pa.Table:
-        groups = batch.column(group_col).to_pylist()
         keys = batch.column(key_col).to_pylist()
-        regs: dict = {}
-        for g, k in zip(groups, keys):
-            h = np.uint64(md5_lower64(str(k)))
-            bucket = int(h >> np.uint64(SUFFIX_BITS))
-            suffix = np.uint64(h & _SUFFIX_MASK)
-            rho = (SUFFIX_BITS + 1) - int(suffix).bit_length()
-            cur = regs.get((g, bucket), 0)
-            if rho > cur:
-                regs[(g, bucket)] = rho
-        if not regs:
-            return pa.table(
-                {
-                    group_col: pa.array([], batch.schema.field(group_col).type),
-                    "bucket": pa.array([], pa.int64()),
-                    "rho": pa.array([], pa.int64()),
-                }
-            )
-        gs, bs = zip(*regs.keys())
+        h = np.fromiter(
+            (md5_lower64(str(k)) for k in keys), np.uint64, count=len(keys)
+        )
+        bucket = (h >> np.uint64(SUFFIX_BITS)).astype(np.int64)
+        rho = (SUFFIX_BITS + 1) - _bit_length_u64(h & _SUFFIX_MASK)
+        # one register per (group, bucket) present in the batch: max of
+        # rho per distinct packed key group_index * HLL_M + bucket
+        enc = pc.dictionary_encode(
+            batch.column(group_col).combine_chunks(), null_encoding="encode"
+        )
+        gi = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+        cells, inv = np.unique(gi * HLL_M + bucket, return_inverse=True)
+        regs = np.zeros(cells.shape[0], np.int64)
+        np.maximum.at(regs, inv, rho)
         return pa.table(
             {
-                group_col: pa.array(list(gs)),
-                "bucket": pa.array(list(bs), pa.int64()),
-                "rho": pa.array(list(regs.values()), pa.int64()),
+                group_col: enc.dictionary.take(pa.array(cells // HLL_M)),
+                "bucket": pa.array(cells % HLL_M, pa.int64()),
+                "rho": pa.array(regs, pa.int64()),
             }
         )
 

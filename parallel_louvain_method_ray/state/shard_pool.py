@@ -51,6 +51,14 @@ from parallel_louvain_method_ray.graph.csr import (
     unpack_shards,
 )
 
+# pagerank_power pipelines its fixed-count rounds only at or above this
+# many CSR entries per worker: overlapping rounds on small working sets
+# oversubscribes the node (up to 2 windows x (W partials + R reduces)
+# concurrent zero-cpu tasks) and measured SLOWER and noisier at mult=256
+# (sync min 0.085 s vs pipelined 0.10-0.13) while slightly faster at
+# mult=1280 (0.27 vs 0.30)
+PIPELINE_MIN_ENTRIES_PER_WORKER = 4_000_000
+
 
 def _best_labels_for_shard(plan, lab: np.ndarray):
     """Per-row weighted label argmax with (max weight, min label) tie-break
@@ -720,7 +728,6 @@ class ShardPool:
         max_iter: int = 10,
         r0: np.ndarray | None = None,
         p: np.ndarray | None = None,
-        pipeline: bool | None = None,
     ):
         """Fully-sharded power iteration: rank/scaled vectors live as W
         plasma slice refs aligned to the reduce-scatter bounds; workers
@@ -806,15 +813,9 @@ class ShardPool:
             return [o[2] for o in outs]
 
         # pipelining pays only when per-worker kernel time dominates the
-        # round (large E/W): overlapping rounds on small working sets
-        # oversubscribes the node (up to 2 windows x (W partials + R
-        # reduces) concurrent zero-cpu tasks) and measured SLOWER and
-        # noisier at mult=256 (sync min 0.085 s vs pipelined 0.10-0.13)
-        # while slightly faster at mult=1280 (0.27 vs 0.30)
+        # round (large E/W)
         big_rounds = (
-            pipeline
-            if pipeline is not None
-            else self.graph.n_entries / max(W, 1) >= 4_000_000
+            self.graph.n_entries / max(W, 1) >= PIPELINE_MIN_ENTRIES_PER_WORKER
         )
         if tol <= 0.0 and R > 1 and max_iter > 2 and big_rounds:
             # PIPELINED mode (fixed iteration count): the previous round's

@@ -1,16 +1,17 @@
 """Analytics operators (ops/analytics.py): exact quantiles, group top-k,
-anti/semi join, deterministic hash sampling. SQL-oracle parity runs in
-test_queries_oracle.py / driver_sim; these pin semantics on fixtures."""
+anti join, deterministic hash sampling, column profiling. SQL-oracle
+parity runs in test_queries_oracle.py / driver_sim; these pin semantics
+on fixtures."""
 
 import numpy as np
 import pyarrow as pa
 import ray.data
 
 from parallel_louvain_method_ray.ops.analytics import (
-    broadcast_anti_join,
-    broadcast_semi_join,
+    column_profile,
     exact_quantiles,
     hash_sample,
+    shuffle_anti_join,
     topk_per_group,
 )
 
@@ -69,66 +70,28 @@ def test_topk_per_group_rank_and_ties():
     assert got[3] == [(2.0, 30)]
 
 
-def test_semi_and_anti_join_partition():
+def test_shuffle_anti_join_matches_isin():
+    """The fact-vs-fact anti join keeps exactly the left rows whose key is
+    not in the right side — on duplicate keys on both sides and with an
+    extra left column."""
+    keys = np.array([1, 2, 2, 3, 4, 5, 5], np.int64)
+    rkeys = np.array([2, 2, 4, 9], np.int64)
     left = ray.data.from_arrow(
-        pa.table({"k": pa.array([1, 2, 3, 4, 5], pa.int64())})
+        pa.table({"k": pa.array(keys), "payload": pa.array(list("abcdefg"))})
     ).repartition(3)
-    right = ray.data.from_arrow(
-        pa.table({"rk": pa.array([2, 2, 4, 9], pa.int64())})
-    )
-    semi = _collect(
-        broadcast_semi_join(left, right, left_key="k", right_key="rk")
-    )
-    anti = _collect(
-        broadcast_anti_join(left, right, left_key="k", right_key="rk")
-    )
-    assert sorted(semi.k.tolist()) == [2, 4]
-    assert sorted(anti.k.tolist()) == [1, 3, 5]
-    # semi + anti partition the left exactly
-    assert sorted(semi.k.tolist() + anti.k.tolist()) == [1, 2, 3, 4, 5]
+    right = ray.data.from_arrow(pa.table({"rk": pa.array(rkeys)}))
+    right = right.repartition(2)
+
+    got = _collect(
+        shuffle_anti_join(left, right, left_key="k", right_key="rk")
+    ).sort_values(["k", "payload"], ignore_index=True)
+    keep = ~np.isin(keys, rkeys)
+    assert list(got.columns) == ["k", "payload"]
+    assert got.k.tolist() == keys[keep].tolist()
+    assert got.payload.tolist() == np.array(list("abcdefg"))[keep].tolist()
 
 
-def test_shuffle_anti_semi_join_matches_broadcast():
-    """VERDICT r3 #5: the fact-vs-fact tier must return exactly what the
-    broadcast tier returns — on duplicates, extra columns, and both
-    directions of the marker filter."""
-    from parallel_louvain_method_ray.ops.analytics import (
-        shuffle_anti_join,
-        shuffle_semi_join,
-    )
-
-    left = ray.data.from_arrow(
-        pa.table(
-            {
-                "k": pa.array([1, 2, 2, 3, 4, 5, 5], pa.int64()),
-                "payload": pa.array(list("abcdefg")),
-            }
-        )
-    ).repartition(3)
-    right = ray.data.from_arrow(
-        pa.table({"rk": pa.array([2, 2, 4, 9], pa.int64())})
-    ).repartition(2)
-
-    for shuffle_fn, bcast_fn in (
-        (shuffle_anti_join, broadcast_anti_join),
-        (shuffle_semi_join, broadcast_semi_join),
-    ):
-        s = _collect(
-            shuffle_fn(left, right, left_key="k", right_key="rk")
-        ).sort_values(["k", "payload"], ignore_index=True)
-        b = _collect(
-            bcast_fn(left, right, left_key="k", right_key="rk")
-        ).sort_values(["k", "payload"], ignore_index=True)
-        assert list(s.columns) == ["k", "payload"]
-        assert s.equals(b), (shuffle_fn.__name__, s, b)
-
-
-def test_shuffle_anti_semi_join_empty_right():
-    from parallel_louvain_method_ray.ops.analytics import (
-        shuffle_anti_join,
-        shuffle_semi_join,
-    )
-
+def test_shuffle_anti_join_empty_right():
     left = ray.data.from_arrow(
         pa.table({"k": pa.array([1, 2], pa.int64())})
     )
@@ -138,8 +101,6 @@ def test_shuffle_anti_semi_join_empty_right():
     assert sorted(
         _collect(shuffle_anti_join(left, right, left_key="k", right_key="rk")).k
     ) == [1, 2]
-    semi = shuffle_semi_join(left, right, left_key="k", right_key="rk")
-    assert semi.count() == 0
 
 
 def test_hash_sample_string_keys():
@@ -214,3 +175,31 @@ def test_chunk_documents_windows_and_overlap():
     assert d1.chunk.tolist()[3] == "t9"
     assert out[out.doc_id == 2].chunk.tolist() == ["solo"]
     assert (out.doc_id == 3).sum() == 0
+
+
+def test_column_profile_all_null_column_is_null():
+    """SQL min/max skip NULLs: a column that is null everywhere profiles
+    to a null min_v/max_v (not +inf/-inf), and null rows do not move the
+    min/max of a column that has values."""
+    f64 = pa.float64()
+    blocks = [
+        pa.table(
+            {"a": pa.array([None, None], f64), "b": pa.array([3.0, None])}
+        ),
+        pa.table({"a": pa.array([None], f64), "b": pa.array([None], f64)}),
+        pa.table(
+            {"a": pa.array([None] * 3, f64), "b": pa.array([-1.5, 7.0, 2.0])}
+        ),
+    ]
+    got = {
+        r["column"]: r
+        for r in column_profile(
+            ray.data.from_arrow(blocks), ["a", "b"]
+        ).take_all()
+    }
+    assert got["a"] == {
+        "column": "a", "n_rows": 6, "n_null": 6, "min_v": None, "max_v": None
+    }
+    assert got["b"] == {
+        "column": "b", "n_rows": 6, "n_null": 2, "min_v": -1.5, "max_v": 7.0
+    }

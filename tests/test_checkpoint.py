@@ -1,6 +1,7 @@
 """Resume/lineage (FIXTURES.md §5): kill after sweep j, resume from the
 manifest, final outputs identical to an uninterrupted run."""
 
+import json
 import os
 
 import numpy as np
@@ -62,6 +63,23 @@ def test_louvain_resume_identical(tmp_path):
                       checkpointer=LouvainCheckpointer(ckdir, cfg))
     np.testing.assert_array_equal(resumed.assignments, baseline.assignments)
     assert resumed.modularity == pytest.approx(baseline.modularity, abs=1e-12)
+
+
+def test_resume_rejects_manifest_lineage_mismatch(tmp_path):
+    """A checkpointed level whose rebuilt graph disagrees with its manifest
+    must not resume — a raise, so `python -O` keeps the check."""
+    cfg = EngineConfig(num_partitions=3)
+    graph, _ = _graph(cfg)
+    ck = LouvainCheckpointer(str(tmp_path / "ck"), cfg)
+    ck.begin_level(0, graph, np.arange(graph.n, dtype=np.int64))
+    path = os.path.join(ck.dir, "level=0", "manifest.json")
+    with open(path) as f:
+        man = json.load(f)
+    man["n_entries"] += 1
+    with open(path, "w") as f:
+        json.dump(man, f)
+    with pytest.raises(ValueError, match="lineage mismatch"):
+        ck.resume()
 
 
 def None_graph_placeholder(cfg, src, dst, w):

@@ -81,69 +81,3 @@ def test_boundary_totals_are_global():
     # every boundary key's reported total must equal its true global count
     for k, n in zip(bk.tolist(), bn.tolist()):
         assert n == 40, (k, n)
-
-
-def test_sum_by_key_sorted_matches_groupby(ray_session):
-    import numpy as np
-    import pyarrow as pa
-    import ray.data
-
-    from parallel_louvain_method_ray.ops.fastgroup import sum_by_key_sorted
-
-    rng = np.random.RandomState(31)
-    n = 5000
-    keys = rng.zipf(1.5, n).astype(np.int64) % 700
-    v1 = rng.randint(-50, 50, n).astype(np.int64)
-    v2 = rng.randint(0, 1000, n).astype(np.int64)
-    ds = ray.data.from_arrow(
-        pa.table({"k": keys, "a": v1, "b": v2})
-    ).repartition(7)
-    got = {
-        r["k"]: (r["n"], r["sum_a"], r["sum_b"])
-        for r in sum_by_key_sorted(ds, "k", ["a", "b"]).take_all()
-    }
-    import collections
-
-    want = collections.defaultdict(lambda: [0, 0, 0])
-    for k, a, b in zip(keys, v1, v2):
-        w = want[int(k)]
-        w[0] += 1
-        w[1] += int(a)
-        w[2] += int(b)
-    assert got == {k: tuple(v) for k, v in want.items()}
-
-
-def test_sum_by_key_sorted_single_key_spanning_blocks(ray_session):
-    import numpy as np
-    import pyarrow as pa
-    import ray.data
-
-    from parallel_louvain_method_ray.ops.fastgroup import sum_by_key_sorted
-
-    ds = ray.data.from_arrow(
-        pa.table(
-            {
-                "k": np.zeros(1000, np.int64),
-                "a": np.arange(1000, dtype=np.int64),
-            }
-        )
-    ).repartition(16)
-    rows = sum_by_key_sorted(ds, "k", ["a"]).take_all()
-    rows = [r for r in rows if r["n"] > 0]
-    assert len(rows) == 1
-    assert rows[0] == {"k": 0, "n": 1000, "sum_a": 499500}
-
-
-def test_sum_by_key_sorted_rejects_floats(ray_session):
-    import numpy as np
-    import pyarrow as pa
-    import pytest
-    import ray.data
-
-    from parallel_louvain_method_ray.ops.fastgroup import sum_by_key_sorted
-
-    ds = ray.data.from_arrow(
-        pa.table({"k": np.zeros(4, np.int64), "a": np.ones(4, np.float64)})
-    )
-    with pytest.raises(Exception, match="integer"):
-        sum_by_key_sorted(ds, "k", ["a"]).take_all()

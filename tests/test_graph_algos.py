@@ -149,15 +149,34 @@ def test_triangles_random_matches_dense_oracle():
     assert total == oracle.sum() // 3
 
 
-def test_triangles_join_path_matches_broadcast():
+def test_triangles_join_path_matches_broadcast(monkeypatch):
     # the distributed wedge⋈edge probe (100 TB path, no O(E) broadcast)
     # must count exactly like the broadcast probe
+    import parallel_louvain_method_ray.algos.triangles as triangles
+
     src, dst, w = random_graph(60, 7, seed=21)
     g = _graph(src, dst, w, P=3)
-    pv_b, tot_b = triangle_counts(g, method="broadcast")
-    pv_j, tot_j = triangle_counts(g, method="join")
+    pv_b, tot_b = triangle_counts(g)  # small graph: broadcast probe
+    monkeypatch.setattr(triangles, "JOIN_THRESHOLD_ENTRIES", 0)
+    pv_j, tot_j = triangle_counts(g)
     np.testing.assert_array_equal(pv_b, pv_j)
     assert tot_b == tot_j
+
+
+def test_triangles_reject_n_beyond_pair_key_bound():
+    """a*n + b pair keys wrap int64 from n = 3e9 on: refuse before any
+    degree array is allocated or any task runs."""
+
+    class _Huge:
+        n = 3_000_000_000
+        n_entries = 0
+
+        @property
+        def shards(self):
+            raise AssertionError("touched the graph")
+
+    with pytest.raises(ValueError, match="n < 3e9"):
+        triangle_counts(_Huge())
 
 
 # ---------------------------------------------------------- bfs

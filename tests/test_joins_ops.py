@@ -1,18 +1,13 @@
-"""Custom join operators (ops/joins.py): as-of join, range join,
-tumbling-window aggregate. The SQL-oracle parity runs in
+"""As-of join (ops/joins.py). The SQL-oracle parity runs in
 tests/test_queries_oracle.py / tools/driver_sim.py; these tests pin the
 operator semantics on hand-built fixtures (ties, no-match keys, left vs
-inner, band edges)."""
+inner)."""
 
 import numpy as np
 import pyarrow as pa
 import ray.data
 
-from parallel_louvain_method_ray.ops.joins import (
-    asof_join,
-    range_join_broadcast,
-    tumbling_window,
-)
+from parallel_louvain_method_ray.ops.joins import asof_join
 
 
 def _ds(**cols):
@@ -106,64 +101,3 @@ def test_asof_timestamp_columns_cast_to_us():
     out = _collect(_asof(left, right, "left")).sort_values("l_lval")
     assert out.t.tolist() == [1_700_000_000_000_000, 1_700_000_060_000_000]
     assert np.isnan(out.iloc[0].r_rval) and out.iloc[1].r_rval == 7
-
-
-def test_range_join_band_edges():
-    left = _ds(
-        pk=pa.array([1, 2, 3, 4, 5, 6], pa.int64()),
-        v=pa.array([-1.0, 0.0, 9.999, 10.0, 25.0, 30.0], pa.float64()),
-    )
-    bands = [("lo", 0.0, 10.0), ("hi", 10.0, 30.0)]
-    out = _collect(
-        range_join_broadcast(left, bands, value_col="v", keep_cols=["pk", "v"])
-    ).set_index("pk")
-    # -1 below all bands, 30.0 == hi bound (exclusive) -> both dropped
-    assert sorted(out.index.tolist()) == [2, 3, 4, 5]
-    assert out.loc[2].band == "lo"  # lo bound inclusive
-    assert out.loc[3].band == "lo"
-    assert out.loc[4].band == "hi"  # boundary belongs to upper band
-    assert out.loc[5].band == "hi"
-
-
-def test_range_join_rejects_overlap():
-    import pytest
-
-    left = _ds(pk=pa.array([1], pa.int64()), v=pa.array([1.0], pa.float64()))
-    with pytest.raises(ValueError):
-        range_join_broadcast(
-            left,
-            [("a", 0.0, 10.0), ("b", 5.0, 20.0)],
-            value_col="v",
-            keep_cols=["pk"],
-        )
-
-
-def test_tumbling_window_buckets():
-    ts = pa.array(
-        [0, 10, 3_600_000_000, 3_600_000_001, 7_200_000_000], pa.int64()
-    ).cast(pa.timestamp("us"))
-    ev = ray.data.from_arrow(
-        pa.table(
-            {
-                "etype": ["a", "a", "a", "b", "a"],
-                "ts": ts,
-                "value": [1.0, 2.0, 4.0, 8.0, 16.0],
-            }
-        )
-    )
-    out = _collect(
-        tumbling_window(
-            ev, ts_col="ts", key_col="etype", value_col="value",
-            window_us=3_600_000_000,
-        )
-    )
-    got = {
-        (r.etype, r.window_start): (r.n_events, r.sum_value)
-        for r in out.itertuples()
-    }
-    assert got == {
-        ("a", 0): (2, 3.0),
-        ("a", 3_600_000_000): (1, 4.0),
-        ("b", 3_600_000_000): (1, 8.0),
-        ("a", 7_200_000_000): (1, 16.0),
-    }

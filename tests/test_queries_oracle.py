@@ -89,3 +89,33 @@ def test_entry_smoke():
     t = _to_pandas(entrymod.entry())
     assert len(t) > 0
     assert {"url", "vid", "comm", "rank"} <= set(t.columns)
+
+
+# entries without a DuckDB oracle: random permutations, recall-tested
+# ANN variants and converged iterative assignments
+ROWS_ONLY_ENTRIES = {
+    "cosine_topk_ivf",
+    "cosine_topk_lsh",
+    "embedding_near_dups",
+    "louvain_communities",
+    "louvain_modularity",
+    "minhash_signatures",
+    "near_dup_minhash",
+    "near_dup_simhash",
+    "simhash_signatures",
+}
+
+
+def test_registry_invariants():
+    """`_GATE_FIRST` must stay the 50-entry prefix of the registry, and
+    the oracle parametrization above silently skips an ORACLE_SQL key
+    that has no QUERIES entry — so both are checked here, not at import
+    (where `python -O` would strip an assert)."""
+    from parallel_louvain_method_ray.pipelines.queries import _GATE_FIRST
+
+    queries, oracles = entrymod.queries(), entrymod.oracle_sql()
+    assert len(_GATE_FIRST) == 50
+    assert len(set(_GATE_FIRST)) == 50
+    assert list(queries)[:50] == _GATE_FIRST
+    assert set(oracles) <= set(queries), sorted(set(oracles) - set(queries))
+    assert set(queries) - set(oracles) == ROWS_ONLY_ENTRIES

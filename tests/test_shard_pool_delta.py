@@ -8,6 +8,7 @@ import numpy as np
 
 from parallel_louvain_method_ray.config import EngineConfig
 from parallel_louvain_method_ray.graph.build import graph_from_entry_arrays
+from parallel_louvain_method_ray.state import shard_pool
 from parallel_louvain_method_ray.state.shard_pool import ShardPool
 from tests.fixtures import planted_partition_graph
 
@@ -193,11 +194,13 @@ def test_unit_weight_kernel_path_bit_identical():
     np.testing.assert_array_equal(t0, t1)  # bit-identical, not allclose
 
 
-def test_pagerank_power_pipelined_matches_sync():
+def test_pagerank_power_pipelined_matches_sync(monkeypatch):
     """tol=0 / W>1 routes through the PIPELINED power iteration (the
     previous round's scalar refs feed the next round's reducers, no
     driver sync mid-round). Ranks must be bit-identical to the
     synchronous path (tol>0) at the same iteration count."""
+    # force: the size gate needs >=4M entries/worker
+    monkeypatch.setattr(shard_pool, "PIPELINE_MIN_ENTRIES_PER_WORKER", 0)
     g, src, dst = _directed_test_graph(seed=13)
     n = g.n
     out_w = g.degrees()
@@ -207,8 +210,7 @@ def test_pagerank_power_pipelined_matches_sync():
     pool = ShardPool(g, num_workers=3)
     try:
         r_pipe, info_pipe = pool.pagerank_power(
-            inv_out, dangling, damping=0.85, tol=0.0, max_iter=7,
-            pipeline=True,  # force: the auto gate needs >=4M entries/worker
+            inv_out, dangling, damping=0.85, tol=0.0, max_iter=7
         )
         # the synchronous loop: tol>0 small enough never to trigger
         r_sync, info_sync = pool.pagerank_power(

@@ -1,5 +1,6 @@
-"""HyperLogLog sketch: register parity vs a scalar reference, estimator
-accuracy at a realistic vocabulary size, exact bit_length edge cases."""
+"""HyperLogLog sketch: register parity vs a scalar reference (global and
+per group), estimator accuracy at a realistic vocabulary size, exact
+bit_length edge cases."""
 
 import numpy as np
 import pyarrow as pa
@@ -13,6 +14,7 @@ from parallel_louvain_method_ray.ops.sketch import (
     _estimate_from_registers,
     hll_bucket_rhos,
     hll_distinct_tokens,
+    hll_group_rhos,
 )
 
 
@@ -93,3 +95,28 @@ def test_empty_input():
     assert row["exact_distinct"][0] == 0
     assert row["estimate"][0] == 0.0
     assert row["zero_buckets"][0] == HLL_M
+
+
+def test_group_register_parity_vs_scalar():
+    """Per-group registers equal a per-row scalar loop over
+    md5_lower64(str(key)), across blocks, with a null group and null keys
+    (str(None) hashes like any other key, a null group is its own group)."""
+    rng = np.random.default_rng(11)
+    n = 3000
+    groups = [None if i % 97 == 0 else f"g{i % 7}" for i in range(n)]
+    keys = [None if i % 89 == 0 else int(k) for i, k in
+            enumerate(rng.integers(0, 5000, size=n))]
+    want = {}
+    for g, k in zip(groups, keys):
+        h = md5_lower64(str(k))
+        rho = SUFFIX_BITS + 1 - (h & ((1 << SUFFIX_BITS) - 1)).bit_length()
+        cell = (g, h >> SUFFIX_BITS)
+        want[cell] = max(want.get(cell, 0), rho)
+    ds = ray.data.from_arrow(
+        pa.table({"g": pa.array(groups), "k": pa.array(keys, pa.int64())})
+    ).repartition(5)
+    got = {
+        (r["g"], r["bucket"]): r["rho"]
+        for r in hll_group_rhos(ds, "g", "k").take_all()
+    }
+    assert got == want
