@@ -40,10 +40,6 @@ from parallel_louvain_method_ray.graph.csr import (
     unpack_shards,
 )
 
-EDGE_SCHEMA = pa.schema(
-    [("src", pa.int64()), ("dst", pa.int64()), ("weight", pa.float64())]
-)
-
 
 # ---------------------------------------------------------------------------
 # per-batch transforms (pure, vectorized)

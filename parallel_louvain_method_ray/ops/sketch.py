@@ -181,17 +181,23 @@ def hll_group_rhos(
         cells, inv = np.unique(gi * HLL_M + bucket, return_inverse=True)
         regs = np.zeros(cells.shape[0], np.int64)
         np.maximum.at(regs, inv, rho)
+        group = enc.dictionary.take(pa.array(cells // HLL_M))
         return pa.table(
             {
-                group_col: enc.dictionary.take(pa.array(cells // HLL_M)),
+                "_null": pc.is_null(group),
+                group_col: group,
                 "bucket": pa.array(cells % HLL_M, pa.int64()),
                 "rho": pa.array(regs, pa.int64()),
             }
         )
 
+    # `_null` leads the key so the sort-based groupby's range search never
+    # compares a null group with a value (Ray Data raises TypeError when a
+    # sampled boundary's binary search probes a null string)
     merged = (
         ds.map_batches(partials, batch_format="pyarrow")
-        .groupby([group_col, "bucket"])
+        .groupby(["_null", group_col, "bucket"])
         .max("rho")
+        .drop_columns(["_null"])
     )
     return merged.rename_columns({"max(rho)": "rho"})

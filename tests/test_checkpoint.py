@@ -1,10 +1,13 @@
 """Resume/lineage (FIXTURES.md §5): kill after sweep j, resume from the
 manifest, final outputs identical to an uninterrupted run."""
 
+import hashlib
 import json
 import os
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 
 from parallel_louvain_method_ray.algos.louvain import louvain
@@ -14,7 +17,11 @@ from parallel_louvain_method_ray.ckpt.manifest import (
     PageRankCheckpointer,
 )
 from parallel_louvain_method_ray.config import EngineConfig
-from parallel_louvain_method_ray.graph.build import graph_from_entry_arrays
+from parallel_louvain_method_ray.graph.build import (
+    build_graph_small,
+    graph_from_entry_arrays,
+)
+from parallel_louvain_method_ray.graph.csr import shards_to_entries, unpack_shards
 from tests.fixtures import planted_partition_graph
 
 
@@ -80,6 +87,124 @@ def test_resume_rejects_manifest_lineage_mismatch(tmp_path):
         json.dump(man, f)
     with pytest.raises(ValueError, match="lineage mismatch"):
         ck.resume()
+
+
+def _level_file(ck, level, row):
+    return os.path.join(ck.dir, f"level={level}", "shards", f"part-{row:05d}.parquet")
+
+
+def test_resume_rejects_corrupted_shard_weight(tmp_path):
+    """One weight changed in a shard file, every count kept: the
+    per-partition content hash must catch it."""
+    cfg = EngineConfig(num_partitions=3)
+    graph, _ = _graph(cfg)
+    ck = LouvainCheckpointer(str(tmp_path / "ck"), cfg)
+    ck.begin_level(0, graph, np.arange(graph.n, dtype=np.int64))
+    path = _level_file(ck, 0, 1)
+    t = pq.read_table(path)
+    w = np.asarray(t.column("weights")[0].values).copy()
+    w[0] += 1.0
+    t = t.set_column(
+        t.schema.get_field_index("weights"),
+        "weights",
+        pa.array([w], type=t.schema.field("weights").type),
+    )
+    pq.write_table(t, path)
+    with pytest.raises(ValueError, match="lineage mismatch on resume of level 0: partition 1/"):
+        ck.resume()
+
+
+def test_resume_rejects_corrupted_sweep_assignment(tmp_path):
+    cfg = EngineConfig(num_partitions=3)
+    graph, _ = _graph(cfg)
+    ck = LouvainCheckpointer(str(tmp_path / "ck"), cfg)
+    ck.begin_level(0, graph, np.arange(graph.n, dtype=np.int64))
+    assign = np.arange(graph.n, dtype=np.int64)
+    ck.on_sweep(0, 0, assign, moves=5)
+    assign[3] = 0
+    np.save(os.path.join(ck.dir, "level=0", "sweep=0", "assign.npy"), assign)
+    with pytest.raises(ValueError, match="lineage mismatch .* sweep=0/assign.npy"):
+        ck.resume()
+
+
+def test_resume_refuses_entry_table_checkpoint(tmp_path):
+    """A level written before shard checkpoints (no format key, an
+    edges.parquet/ entry table) is refused, not half-read."""
+    cfg = EngineConfig(num_partitions=3)
+    ld = tmp_path / "ck" / "level=0"
+    (ld / "edges.parquet").mkdir(parents=True)
+    pq.write_table(
+        pa.table({"src": [0, 1], "dst": [1, 0], "weight": [1.0, 1.0]}),
+        str(ld / "edges.parquet" / "0.parquet"),
+    )
+    np.save(str(ld / "membership.npy"), np.arange(2, dtype=np.int64))
+    with open(ld / "manifest.json", "w") as f:
+        json.dump({"level": 0, "n": 2, "m": 1, "n_entries": 2, "partitions": {}}, f)
+    ck = LouvainCheckpointer(str(tmp_path / "ck"), cfg)
+    with pytest.raises(ValueError, match="must be rewritten"):
+        ck.resume()
+    with pytest.raises(ValueError, match="must be rewritten"):
+        ck.load_level_graph(0)
+
+
+def _entries_hash(graph):
+    shards = [s for b in graph.shards.iter_batches(batch_format="pyarrow")
+              for s in unpack_shards(pa.table(b))]
+    src, dst, w = shards_to_entries(shards)
+    order = np.lexsort((w, dst, src))
+    return hashlib.sha256(b"".join(a[order].tobytes() for a in (src, dst, w))).hexdigest()
+
+
+def _block_rows(graph):
+    return [
+        meta.num_rows
+        for bundle in graph.shards.iter_internal_ref_bundles()
+        for _, meta in bundle.blocks
+    ]
+
+
+def _assert_same_graph(got, want):
+    assert _entries_hash(got) == _entries_hash(want)
+    assert (got.n, got.m, got.n_entries, got.total_weight) == (
+        want.n, want.m, want.n_entries, want.total_weight)
+    np.testing.assert_array_equal(got.degrees(), want.degrees())
+    assert got.row_entries == want.row_entries
+    # one block per shard row, none empty
+    assert got.shards.num_blocks() == len(got.row_entries)
+    assert _block_rows(got) == [1] * len(got.row_entries)
+
+
+def _hub_graph(cfg):
+    """Star on vertex 0 plus a ring, symmetrized: vertex 0's 39 entries
+    exceed `max_entries_per_shard`, so its partition splits into
+    sub-shards."""
+    n = 40
+    s = np.concatenate([np.zeros(n - 1, np.int64), np.arange(1, n)])
+    d = np.concatenate([np.arange(1, n), np.r_[2:n, 1]])
+    src, dst = np.concatenate([s, d]), np.concatenate([d, s])
+    w = np.ones(src.shape[0], dtype=np.float64)
+    return build_graph_small(src, dst, w, cfg, n_vertices=n)
+
+
+def test_resume_round_trips_level_graphs(tmp_path):
+    """resume() gives back the checkpointed level graph (a coarse
+    build_graph_small level with a split hub), and load_level_graph(0)
+    the build_graph level 0."""
+    cfg = EngineConfig(num_partitions=3, max_entries_per_shard=16)
+    g0, _ = _graph(cfg)
+    g1 = _hub_graph(cfg)
+    assert len(g1.row_entries) > 3  # the hub's partition was split
+    ck = LouvainCheckpointer(str(tmp_path / "ck"), cfg)
+    ck.begin_level(0, g0, np.arange(g0.n, dtype=np.int64))
+    membership = np.arange(g0.n, dtype=np.int64) % g1.n
+    ck.begin_level(1, g1, membership)
+
+    graph, got_membership, _, level, sweep, assign, moves = ck.resume()
+    assert (level, sweep, assign, moves) == (1, 0, None, 0)
+    np.testing.assert_array_equal(got_membership, membership)
+    _assert_same_graph(graph, g1)
+    _assert_same_graph(ck.load_level_graph(0), g0)
+    assert ck.load_level_graph(2) is None
 
 
 def None_graph_placeholder(cfg, src, dst, w):
