@@ -293,7 +293,7 @@ def run_scaling_unit(sf_dir: str, num_cpus: int, mult: int) -> dict:
     # time (skipping warmup). The shared sandbox shows 4x run-to-run noise
     # on whole-job wall times (external tenants); min-of-rounds measures
     # the engine, not the neighbors.
-    from parallel_louvain_method_ray.state.shard_pool import ShardPool
+    from parallel_louvain_method_ray.state.shard_pool import ShardPool, pagerank_step
 
     pool = ShardPool(graph)
     # warm-start from a cached near-converged assignment when available:
@@ -337,16 +337,14 @@ def run_scaling_unit(sf_dir: str, num_cpus: int, mult: int) -> dict:
         )
         pr_secs = pr_info["iter_secs"]
     else:
-        # small state: driver-reduce path (same gate as algos.pagerank —
-        # the sharded round's 2W-task fan-out costs more than W memcpy
-        # adds below ~4M vertices)
+        # small state: driver-reduce path (same gate as algos.pagerank)
         ranks = np.full(graph.n, 1.0 / graph.n)
         pr_secs = []
         for _ in range(10):
             t0 = time.time()
             incoming = pool.pagerank_iter(ranks * inv_out)
             dm = float(ranks[dangling].sum())
-            ranks = 0.15 / graph.n + 0.85 * (incoming + dm / graph.n)
+            ranks = pagerank_step(incoming, dm, graph.n, 0.85)
             pr_secs.append(time.time() - t0)
     pool.shutdown()
     sweep_min = min(sweep_secs[2:])

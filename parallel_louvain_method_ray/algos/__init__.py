@@ -1,14 +1,13 @@
 from parallel_louvain_method_ray.algos.louvain_seq import SequentialLouvain
 from parallel_louvain_method_ray.algos.louvain import (
     LouvainResult,
-    louvain,
     louvain_level,
     modularity,
     coarsen,
     canonicalize_labels,
 )
 
-from parallel_louvain_method_ray.algos.pagerank import pagerank, pagerank_oracle
+from parallel_louvain_method_ray.algos.pagerank import pagerank_oracle
 from parallel_louvain_method_ray.algos.components import (
     connected_components,
     components_oracle,
@@ -21,7 +20,6 @@ from parallel_louvain_method_ray.algos.triangles import (
 
 __all__ = [
     "SequentialLouvain",
-    "pagerank",
     "pagerank_oracle",
     "connected_components",
     "components_oracle",
@@ -30,7 +28,6 @@ __all__ = [
     "triangle_counts",
     "triangles_oracle",
     "LouvainResult",
-    "louvain",
     "louvain_level",
     "modularity",
     "coarsen",

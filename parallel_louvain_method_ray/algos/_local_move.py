@@ -34,11 +34,14 @@ holds self-loops. `chunked_local_move_sweep` then pays, per chunk, one
 gather, one add and one sort-run pass (`_run_sums`) over the chunk's
 entries, and picks each row's best community with `_first_max`, the
 row-grouped first-of-maxima helper the LPA best-label kernel
-(`state/shard_pool.py`) shares.
+(`_best_labels_for_shard`) shares.
 
-This module is pure numpy so the same kernel runs inside the sequential
-oracle, the driver-local Louvain levels AND the ShardPool workers
-(`state/shard_pool.py`) that run every distributed sweep.
+This module is pure numpy and holds the engine's only copy of each
+decision rule: the same kernels run in the sequential oracle, the
+driver-local Louvain levels, the ShardPool workers (`state/shard_pool.py`)
+AND the decide stages of the sharded tier's `SpmvShard` actors
+(`state/spmv_pool.py`), which map their combined (vertex, comm, weight)
+pairs into a local id space and run a one-chunk (pure Jacobi) plan.
 """
 
 from __future__ import annotations
@@ -160,6 +163,34 @@ def _first_max(vals: np.ndarray, best: np.ndarray, starts, lens) -> np.ndarray:
     n = vals.shape[0]
     pos = np.where(vals == np.repeat(best, lens), np.arange(n), n)
     return np.minimum.reduceat(pos, starts)
+
+
+def _best_labels_for_shard(plan, lab: np.ndarray):
+    """Per-row weighted label argmax with (max weight, min label) tie-break
+    over the self-free entries of `plan`, on the sort-run path of the
+    local-move kernel (labels must be < plan.C). Returns (row_best_label,
+    row_best_weight, row_weight_of_its_current_label); a row without a
+    self-free entry gets label -1 and weights 0."""
+    n_local = plan.vids.shape[0]
+    out_lab = np.full(n_local, -1, dtype=np.int64)
+    out_w = np.zeros(n_local, dtype=np.float64)
+    cur_w = np.zeros(n_local, dtype=np.float64)
+    rk, cols, C = plan.rk, plan.cols, plan.C
+    w = None if plan.unit else plan.w
+    for a, b, lo, hi in plan.chunks:
+        uk, wsum = _run_sums(
+            rk[lo:hi] + lab[cols[lo:hi]], None if w is None else w[lo:hi]
+        )
+        rows = uk // C
+        labs = uk - rows * C
+        _, starts, lens = _runs(rows)
+        best = np.maximum.reduceat(wsum, starts)
+        r = rows[starts] + a
+        out_lab[r] = labs[_first_max(wsum, best, starts, lens)]
+        out_w[r] = best
+        is_cur = labs == lab[plan.vids[a:b]][rows]
+        cur_w[rows[is_cur] + a] = wsum[is_cur]
+    return out_lab, out_w, cur_w
 
 
 def chunked_local_move_sweep(

@@ -171,7 +171,8 @@ def louvain_level(
     """One Louvain level (the reference's `iterate()`,
     `community.cpp:64-102`): BSP sweeps on `pool` (an owned pool when
     None) until 0 moves. Returns (assignments, improved, metrics).
-    `on_sweep(sweep_idx, assign, moves)` is the checkpoint hook.
+    `on_sweep(sweep_idx, assign, moves)` is the checkpoint hook; it sees
+    the assignment the oscillation guard restored when it ends the level.
     `start_sweep`/`prior_moves` seed the metric totals on resume so a
     resumed level reports its full history."""
     cfg = config or graph.config or DEFAULT_CONFIG
@@ -213,10 +214,7 @@ def louvain_level(
                 improved = True
             metrics.sweeps += 1
             metrics.moves += moves
-            if on_sweep is not None:
-                on_sweep(sweep, assign, moves)
-            if moves == 0:
-                break
+            done = moves == 0
             # Oscillation guard (P>1 only; at P=1 the kernel is exactly the
             # sequential algorithm and terminates via moves==0). Tracks the
             # BEST modularity seen — an up/down 2-cycle never beats its own
@@ -225,7 +223,7 @@ def louvain_level(
             # when the move count stops strictly decreasing — while moves
             # shrink the sweep is converging and the extra pass would be
             # pure overhead.
-            if moves >= prev_moves:
+            if not done and moves >= prev_moves:
                 q = modularity(graph, assign, m_mode, pool)
                 if q > best_q + STALL_EPS:
                     best_q = q
@@ -234,14 +232,18 @@ def louvain_level(
                 else:
                     stall += 1
                     if stall >= STALL_SWEEPS:
-                        assign = best_assign
-                        break
-            else:
+                        assign, done = best_assign, True
+            elif not done:
                 # converging phase (moves strictly decreasing): skip the Q
                 # measurement for speed but do NOT overwrite best_assign —
                 # (best_q, best_assign) must stay a measured pair so a
                 # later stall abort restores the snapshot best_q describes
                 stall = 0
+            # after the guard, so a level's last checkpoint is its result
+            if on_sweep is not None:
+                on_sweep(sweep, assign, moves)
+            if done:
+                break
             prev_moves = moves
         metrics.modularity_after = modularity(graph, assign, m_mode, pool)
         metrics.n_communities = int(np.unique(assign).shape[0])
@@ -479,16 +481,18 @@ def louvain(
     levels: list[LevelMetrics] = []
     start_level, start_sweep, start_assign = 0, 0, None
     resumed_prior_moves = 0
+    finished = None  # metrics of a resumed level whose sweeps all ran
     if checkpointer is not None:
         resumed = checkpointer.resume()
         if resumed is not None:
             (graph, membership, levels, start_level, start_sweep,
              start_assign, resumed_prior_moves) = resumed
+            if levels and levels[-1].level == start_level:
+                finished = levels.pop()
             if start_level > 0:
                 graph0 = checkpointer.load_level_graph(0) or graph
             else:
                 graph0 = graph
-    any_distributed = False
     with contextlib.ExitStack() as owned:
         for level in range(start_level, cfg.max_levels):
             on_sweep = None
@@ -503,11 +507,16 @@ def louvain(
             local = graph.n_entries <= engine_config.DRIVER_LOCAL_ROWS or (
                 level > 0 and graph.n <= DRIVER_LOCAL_VERTICES
             )
-            any_distributed = any_distributed or not local
             if not local and pool is None:
                 pool = owned.enter_context(pool_for(graph))
             resume_here = level == start_level
-            if local:
+            if resume_here and finished is not None:
+                # the level ended before the run stopped: its last sweep's
+                # assignment is its result
+                assign, improved, metrics = start_assign, finished.moves > 0, finished
+                if local:
+                    entries = _sorted_entries(list(_collect_entries(graph)))
+            elif local:
                 assign, improved, metrics, entries = _driver_level(
                     graph,
                     cfg,
@@ -561,8 +570,13 @@ def louvain(
         # strict GS when the graph fits the driver budget). Kept only if Q
         # improves, and only for runs with DISTRIBUTED levels: fully
         # driver-local runs are already strict GS and stay bit-exact vs the
-        # sequential oracle.
+        # sequential oracle. Level 0 is distributed iff it is above the
+        # entry gate, and a coarse level has at most as many entries, so
+        # this also holds for levels run before a resume.
+        any_distributed = graph0.n_entries > engine_config.DRIVER_LOCAL_ROWS
         if cfg.polish_sweeps > 0 and len(levels) > 0 and any_distributed:
+            if pool is None:  # the distributed levels ran before a resume
+                pool = owned.enter_context(pool_for(graph0))
             membership = _polish(graph0, membership, cfg, m_mode, pool)
         # final Q on the ORIGINAL graph under the composed assignments
         if graph0.n_entries <= engine_config.DRIVER_LOCAL_ROWS:

@@ -9,13 +9,13 @@ Mandated extension (BASELINE.json north_rule) — no reference counterpart
 with damping d = 0.85, uniform init 1/N, dangling mass (vertices with zero
 out-weight) redistributed uniformly, convergence on L1 delta < tol.
 
-Execution: every iteration is one ShardPool round (`state/shard_pool.py`):
-each worker bincounts its shards' contributions into a partial incoming
-vector, and the partials are summed on the driver (small n) or reduced
-slice-wise by reducer tasks. Below `ShardPool.DRIVER_REDUCE_MAX_N` the
-rank vector is O(V) driver state broadcast via ray.put per iteration
-(see graph/build.py scale notes); above it the fully-sharded
-`ShardPool.pagerank_power` keeps the rank slices in the object store.
+Execution: each iteration is one ShardPool round (`state/shard_pool.py`):
+the workers' dense partial incoming vectors are summed on the driver, and
+the rank vector is O(V) driver state broadcast via ray.put. Above
+`ShardPool.DRIVER_REDUCE_MAX_N` vertices the fully-sharded
+`ShardPool.pagerank_power` keeps the rank slices in the object store
+instead; PageRank with an `on_iteration` hook and `katz_centrality` keep
+the driver sum at every size. Every path updates with `pagerank_step`.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from parallel_louvain_method_ray.graph.build import GraphHandle
-from parallel_louvain_method_ray.state.shard_pool import pool_for
+from parallel_louvain_method_ray.state.shard_pool import pagerank_step, pool_for
 
 
 def pagerank(
@@ -90,14 +90,7 @@ def pagerank(
             scaled = ranks * inv_out  # rank(u)/outdeg_w(u), 0 for dangling
             incoming = pool.pagerank_iter(scaled)
             dangling_mass = float(ranks[dangling].sum())
-            if p is None:  # uniform teleport — keep the historical expression
-                new_ranks = (1.0 - damping) / n + damping * (
-                    incoming + dangling_mass / n
-                )
-            else:
-                new_ranks = (1.0 - damping) * p + damping * (
-                    incoming + dangling_mass * p
-                )
+            new_ranks = pagerank_step(incoming, dangling_mass, n, damping, p)
             delta = float(np.abs(new_ranks - ranks).sum())
             ranks = new_ranks
             iters = it + 1

@@ -45,7 +45,9 @@ mid-oscillation on a P>1 level resumes with a fresh guard, which can abort
 the level at a different (equally valid, quality-guarded) sweep than the
 uninterrupted run. Completed levels' metrics ARE persisted
 (`metrics.json` per level, written by `end_level`) so a resumed run
-reports the full multi-level history.
+reports the full multi-level history; a rerun over a finished run takes
+its last level's metrics and last sweep assignment (a restore by the
+oscillation guard included) instead of sweeping that level again.
 """
 
 from __future__ import annotations
@@ -284,7 +286,8 @@ class LouvainCheckpointer:
     def resume(self):
         """Returns (graph, membership, levels_meta, start_level,
         start_sweep, start_assign, prior_moves) or None if nothing to
-        resume."""
+        resume. `levels_meta` ends with start_level's own metrics when
+        that level finished (its `metrics.json` exists)."""
         levels = self._complete_levels()
         if not levels:
             return None
@@ -301,7 +304,7 @@ class LouvainCheckpointer:
             if n.startswith("sweep=")
             and os.path.exists(os.path.join(ld, n, "manifest.json"))
         )
-        meta = self._levels_meta(level)
+        meta = self._levels_meta(level + 1)
         if sweeps:
             # moves made before the crash count toward this level's
             # "improved" flag and metric totals — without them a resumed

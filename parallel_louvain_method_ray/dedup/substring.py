@@ -37,10 +37,8 @@ import ray.data
 from ray.data.aggregate import Sum
 
 from parallel_louvain_method_ray.dedup.minhash import md5_lower64
-from parallel_louvain_method_ray.ops.fastgroup import (
-    _runs_sorted,
-    boundary_run_totals,
-)
+from parallel_louvain_method_ray.algos._local_move import _runs
+from parallel_louvain_method_ray.ops.fastgroup import boundary_run_totals
 from parallel_louvain_method_ray.textops.analysis import round6_sql
 
 K_DEFAULT = 20
@@ -90,10 +88,10 @@ def duplicate_ngram_stats(
     def doc_partials(batch: pa.Table) -> pa.Table:
         h = batch.column("h").to_numpy(zero_copy_only=False)
         doc = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        starts, lens = _runs_sorted(h)
-        if starts.shape[0] == 0:
+        if h.shape[0] == 0:
             z = np.empty(0, np.int64)
             return pa.table({"doc_id": z, "tot": z, "dup": z})
+        _, starts, lens = _runs(h)
         run_total = lens.copy()
         # boundary runs: replace the batch-local length with the merged
         # global total (a key spanning batches is first/last in every

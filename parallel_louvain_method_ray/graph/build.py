@@ -359,10 +359,10 @@ def build_graph(
     return graph_from_shards(shards, cfg, n_vertices=n_vertices)
 
 
-@ray.remote
 def _shard_block_meta(block) -> tuple:
     """(n_entries per row, max_vid, vids per shard, degrees per shard) of
-    one packed shard block — the driver never pulls the CSR arrays."""
+    one packed shard block: a task per block in `graph_from_shards` (the
+    driver never pulls the CSR arrays), a local call in `build_graph_small`."""
     t = block if isinstance(block, pa.Table) else pa.table(block)
     if t.num_rows == 0:  # an empty block may carry no schema
         return [], -1, [], []
@@ -375,6 +375,9 @@ def _shard_block_meta(block) -> tuple:
     )
 
 
+_shard_block_meta_task = ray.remote(_shard_block_meta)
+
+
 def graph_from_shards(
     shards: ray.data.Dataset,
     config: EngineConfig | None = None,
@@ -382,13 +385,19 @@ def graph_from_shards(
     n_vertices: int | None = None,
 ) -> GraphHandle:
     """GraphHandle over a MATERIALIZED packed-shard Dataset: metadata,
-    degrees and total weight in one small task per block. Degrees and the
-    weight sum are added in block order, then row order."""
+    degrees and total weight in one small task per block."""
     refs = [
         ref for bundle in shards.iter_internal_ref_bundles()
         for ref in bundle.block_refs
     ]
-    metas = ray.get([_shard_block_meta.remote(r) for r in refs])
+    metas = ray.get([_shard_block_meta_task.remote(r) for r in refs])
+    return _graph_from_metas(shards, metas, config, n_vertices)
+
+
+def _graph_from_metas(shards, metas: list, config, n_vertices) -> GraphHandle:
+    """GraphHandle from the `_shard_block_meta` of each block of `shards`.
+    Degrees and the weight sum are added in block order, then row order:
+    they depend on the shard rows only, not on how they were built."""
     row_entries = [e for meta in metas for e in meta[0]]
     max_vid = max((meta[1] for meta in metas), default=-1)
     n = n_vertices if n_vertices is not None else max_vid + 1
@@ -422,12 +431,9 @@ def build_graph_small(
     """Driver-side fast path for SMALL already-symmetrized entry arrays
     (coarse Louvain levels): pack CSR shards with numpy and `ray.put` each
     shard row as its own block — no shuffle and no Ray Data execution.
-    Semantically identical to build_graph(already_symmetrized=True)."""
-    from parallel_louvain_method_ray.graph.csr import (
-        SHARD_SCHEMA,
-        dedup_sorted_entries,
-        pack_shard_table,
-    )
+    Semantically identical to build_graph(already_symmetrized=True), the
+    metadata bit for bit."""
+    from parallel_louvain_method_ray.graph.csr import SHARD_SCHEMA, pack_shard_table
 
     cfg = config or DEFAULT_CONFIG
     P = cfg.num_partitions
@@ -454,19 +460,8 @@ def build_graph_small(
         pa.Table.from_pydict({k: [] for k in SHARD_SCHEMA.names}, schema=SHARD_SCHEMA)
     ]
     shards = ray.data.from_arrow_refs([ray.put(r) for r in rows])
-
-    # meta + degrees directly from the arrays (dedup matches pack)
-    ds_, dd_, ww_ = dedup_sorted_entries(src, dst, w)
-    degrees = np.bincount(ds_, weights=ww_, minlength=n_vertices)
-    return GraphHandle(
-        shards=shards,
-        n=n_vertices,
-        m=int(ds_.shape[0]) // 2,
-        n_entries=int(ds_.shape[0]),
-        row_entries=[e for r in rows for e in r.column("n_entries").to_pylist()],
-        total_weight=float(ww_.sum()),
-        degrees_ref=ray.put(degrees),
-        config=cfg,
+    return _graph_from_metas(
+        shards, [_shard_block_meta(r) for r in rows], cfg, n_vertices
     )
 
 

@@ -33,14 +33,7 @@ import numpy as np
 import pyarrow as pa
 import ray.data
 
-
-def _runs_sorted(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(run_start_indices, run_lengths) of a key-sorted 1-D array."""
-    if keys.shape[0] == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    lens = np.diff(np.r_[starts, keys.shape[0]])
-    return starts, lens
+from parallel_louvain_method_ray.algos._local_move import _runs
 
 
 def boundary_run_totals(
@@ -77,7 +70,7 @@ def boundary_run_totals(
     bn = rows.column("n").to_numpy(zero_copy_only=False)
     order = np.argsort(bk, kind="stable")
     bk, bn = bk[order], bn[order]
-    starts, _ = _runs_sorted(bk)
+    _, starts, _ = _runs(bk)
     totals = np.add.reduceat(bn, starts)
     return bk[starts], totals.astype(np.int64)
 
@@ -92,7 +85,9 @@ def count_by_key_sorted(ds: ray.data.Dataset, key: str) -> ray.data.Dataset:
 
     def interior_runs(batch: pa.Table) -> pa.Table:
         k = batch.column(key).to_numpy(zero_copy_only=False)
-        starts, lens = _runs_sorted(k)
+        if k.shape[0] == 0:
+            return pa.table({key: k, "n": np.empty(0, np.int64)})
+        _, starts, lens = _runs(k)
         # first and last runs are boundary keys (merged at the driver)
         starts, lens = starts[1:-1], lens[1:-1]
         return pa.table({key: k[starts], "n": lens.astype(np.int64)})

@@ -9,9 +9,11 @@ the materialized shard BLOCKS once (zero-copy from the object store) and
 then serves per-round kernel calls; a round is one `ray.remote` call per
 worker plus small broadcast refs — no scheduling of a new task graph.
 
-Every per-round kernel of the broadcast tier lives here exactly once:
-local move (`algos/_local_move.py`), intra-community weight, contraction,
-the PageRank/Katz partial, the CC local fixpoint and the LPA best label.
+Every per-round kernel of the broadcast tier runs here: local move and
+LPA best label (both from `algos/_local_move.py`, shared with the sharded
+tier's `SpmvShard`), intra-community weight, contraction, the
+PageRank/Katz partial and update (`pagerank_step`, shared likewise) and
+the CC local fixpoint.
 In canonical mode the workers run `chunked_local_move_sweep` (Jacobi
 within KERNEL_CHUNK-vertex blocks); in "reference" tie-break mode they run
 the strict per-vertex `local_move_sweep`, so a one-shard graph is
@@ -38,9 +40,7 @@ import ray
 
 from parallel_louvain_method_ray.algos._local_move import (
     KERNEL_CHUNK,
-    _first_max,
-    _run_sums,
-    _runs,
+    _best_labels_for_shard,
     chunked_local_move_sweep,
     local_move_sweep,
     sweep_plan,
@@ -60,40 +60,25 @@ from parallel_louvain_method_ray.graph.csr import (
 PIPELINE_MIN_ENTRIES_PER_WORKER = 4_000_000
 
 
-def _best_labels_for_shard(plan, lab: np.ndarray):
-    """Per-row weighted label argmax with (max weight, min label) tie-break
-    over the self-free entries of `plan`, on the sort-run path of the
-    local-move kernel (labels must be < plan.C). Returns (row_best_label,
-    row_best_weight, row_weight_of_its_current_label); a row without a
-    self-free entry gets label -1 and weights 0."""
-    n_local = plan.vids.shape[0]
-    out_lab = np.full(n_local, -1, dtype=np.int64)
-    out_w = np.zeros(n_local, dtype=np.float64)
-    cur_w = np.zeros(n_local, dtype=np.float64)
-    rk, cols, C = plan.rk, plan.cols, plan.C
-    w = None if plan.unit else plan.w
-    for a, b, lo, hi in plan.chunks:
-        uk, wsum = _run_sums(
-            rk[lo:hi] + lab[cols[lo:hi]], None if w is None else w[lo:hi]
-        )
-        rows = uk // C
-        labs = uk - rows * C
-        _, starts, lens = _runs(rows)
-        best = np.maximum.reduceat(wsum, starts)
-        r = rows[starts] + a
-        out_lab[r] = labs[_first_max(wsum, best, starts, lens)]
-        out_w[r] = best
-        is_cur = labs == lab[plan.vids[a:b]][rows]
-        cur_w[rows[is_cur] + a] = wsum[is_cur]
-    return out_lab, out_w, cur_w
+def _fanout(parts: list):
+    """Per-destination objects as ONE return value: a tuple for
+    `num_returns=P`, the lone object for P=1 (Ray returns it as is)."""
+    return tuple(parts) if len(parts) > 1 else parts[0]
 
 
-@ray.remote(num_cpus=0)
-def _sum_slices(*parts: np.ndarray) -> np.ndarray:
-    acc = parts[0].copy()
-    for p in parts[1:]:
-        acc += p
-    return acc
+def _remote_buckets(method, P: int, *args) -> list:
+    """Launch a call that returns P buckets; always a list of P refs."""
+    refs = method.options(num_returns=P).remote(*args)
+    return refs if P > 1 else [refs]
+
+
+def pagerank_step(incoming, dangling_mass: float, n: int, damping: float, p=None):
+    """The PageRank update of `incoming` (sum of rank(u) * w / outdeg_w(u)
+    per v): teleport plus dangling mass, uniform or to the restart
+    distribution `p` (the slice aligned with `incoming`)."""
+    if p is None:
+        return (1.0 - damping) / n + damping * (incoming + dangling_mass / n)
+    return (1.0 - damping) * p + damping * (incoming + dangling_mass * p)
 
 
 @ray.remote(num_cpus=0)
@@ -133,10 +118,7 @@ def _pr_reduce_slice(
         )
     else:
         inc = np.zeros(n_j, dtype=np.float64)
-    if p_j is None:  # uniform teleport — keep the historical expression
-        new_r = (1.0 - damping) / n + damping * (inc + dm / n)
-    else:
-        new_r = (1.0 - damping) * p_j + damping * (inc + dm * p_j)
+    new_r = pagerank_step(inc, dm, n, damping, p_j)
     new_s = new_r * inv_out_j
     dsum = float(new_r[dangling_j].sum())
     delta = (
@@ -381,17 +363,6 @@ class ShardWorker:
         # driver — cheaper than pickling sparse (nz, values) pairs
         return np.bincount(cols, weights=s[src] * w, minlength=n)
 
-    def pagerank_iter_sliced(self, s, n: int, bounds: np.ndarray):
-        """Same dense partial, returned PRE-SLICED into len(bounds)-1
-        vid ranges (num_returns fan-out) so the pool can reduce-scatter:
-        reducer j sums slice j across workers — critical path O(V),
-        independent of the worker count (the tree reduce's O(V log W)
-        was the anti-scaling term of PageRank at 32 CPUs)."""
-        acc = self.pagerank_iter(s, n)
-        return tuple(
-            acc[bounds[j]:bounds[j + 1]] for j in range(len(bounds) - 1)
-        )
-
     def pr_index(self, bounds) -> bool:
         """Per-level index for the fully-sharded power iteration
         (`ShardPool.pagerank_power`): this worker's flattened entries
@@ -426,13 +397,12 @@ class ShardWorker:
         the driver re-passes the same refs to the reducers every round, so
         only the VALUES travel per iteration."""
         _, _, _, uc, _, out_pos, bounds = self._pr_idx
-        W = bounds.shape[0] - 1
-        return tuple(
+        return _fanout([
             (uc[out_pos[j]:out_pos[j + 1]] - bounds[j]).astype(np.int32)
             if bounds[j + 1] - bounds[j] < 2**31
             else uc[out_pos[j]:out_pos[j + 1]] - bounds[j]
-            for j in range(W)
-        )
+            for j in range(bounds.shape[0] - 1)
+        ])
 
     def pr_partials(self, *s_slices):
         """One power-iteration scatter: gather this worker's needed scaled
@@ -446,9 +416,8 @@ class ShardWorker:
             seg = slice(in_pos[i], in_pos[i + 1])
             svals[seg] = sl[src_s[seg] - bounds[i]]
         vals = np.bincount(inv, weights=svals * w_s, minlength=uc.shape[0])
-        W = len(s_slices)
-        return tuple(
-            vals[out_pos[j]:out_pos[j + 1]] for j in range(W)
+        return _fanout(
+            [vals[out_pos[j]:out_pos[j + 1]] for j in range(len(s_slices))]
         )
 
     def cc_round(self, lab_in):
@@ -668,15 +637,9 @@ class ShardPool:
         outs = ray.get([w.dump_entries.remote() for w in self.workers])
         return tuple(np.concatenate([o[i] for o in outs]) for i in range(3))
 
-    # below this vertex count the driver sums the W dense partials itself:
-    # the reduce-scatter's fan-out (W^2 slice objects + 2W task schedules)
-    # costs more than W small memcpy-adds. r4 set this to 4M when the
-    # scatter was the mult=256 anti-scaling term — but that predated the
-    # late-r4 fully-sharded pagerank_power (cached pr_index, sparse
-    # partials): re-measured at n=1.28M/W=16 the DRIVER reduce is now the
-    # anti-scaling term (8cpu 0.24 s -> 32cpu 0.46 s per iter, W dense
-    # fetch+add serialized on one core) while the sharded path scales
-    # (0.17 -> ~0.1 s). Gate lowered to 1M accordingly (r5).
+    # above this vertex count `algos.pagerank.pagerank` (without a hook)
+    # runs `pagerank_power`: at n=1.28M/W=16 the driver sum of dense
+    # partials took 0.24 s (8 CPUs) -> 0.46 s (32) per iter, sharded 0.17 -> ~0.1 s
     DRIVER_REDUCE_MAX_N = 1_000_000
 
     # minimum rank-vector slice size for the sharded power iteration's
@@ -686,38 +649,15 @@ class ShardPool:
     PR_MIN_SLICE = 320_000
 
     def pagerank_iter(self, scaled) -> np.ndarray:
+        """Incoming sums of `scaled`: the workers' dense partials, read
+        zero-copy and added on the driver in worker order."""
         ref = ray.put(scaled)
         n = self.graph.n
-        W = len(self.workers)
-        if W == 1:
-            return ray.get(self.workers[0].pagerank_iter.remote(ref, n))
-        if n <= self.DRIVER_REDUCE_MAX_N:
-            # small state: fetch dense partials (zero-copy plasma reads)
-            # and add on the driver — O(W * n) memcpy-speed adds
-            parts = ray.get(
-                [w.pagerank_iter.remote(ref, n) for w in self.workers]
-            )
-            acc = parts[0].copy()
-            for p in parts[1:]:
-                acc += p
-            return acc
-        # REDUCE-SCATTER: each worker returns its dense partial pre-sliced
-        # into W vid ranges; reducer task j sums slice j across all
-        # workers. Critical path O(V) regardless of W — the previous tree
-        # reduce's O(V log W) critical path made PageRank the anti-scaling
-        # term at 32 CPUs (sweep speedup 2.8x vs pagerank 1.3x, mult=256).
-        bounds = np.linspace(0, n, W + 1).astype(np.int64)
-        slice_refs = [
-            w.pagerank_iter_sliced.options(num_returns=W).remote(
-                ref, n, bounds
-            )
-            for w in self.workers
-        ]
-        reduced = [
-            _sum_slices.remote(*[slice_refs[w][j] for w in range(W)])
-            for j in range(W)
-        ]
-        return np.concatenate(ray.get(reduced))
+        parts = ray.get([w.pagerank_iter.remote(ref, n) for w in self.workers])
+        acc = parts[0].copy()
+        for p in parts[1:]:
+            acc += p
+        return acc
 
     def pagerank_power(
         self,
@@ -758,16 +698,7 @@ class ShardPool:
             R = int(max(2, min(W, -(-n // self.PR_MIN_SLICE))))
         bounds = np.linspace(0, n, R + 1).astype(np.int64)
         ray.get([w.pr_index.remote(bounds) for w in self.workers])
-        if R == 1:
-            idx_refs = [[self.workers[0].pr_out_index.remote()]]
-            # num_returns=1 returns the 1-tuple itself; unwrap lazily in
-            # the reduce call via a tiny shim is overkill — re-fetch once
-            idx_refs = [[ray.put(ray.get(idx_refs[0][0])[0])]]
-        else:
-            idx_refs = [
-                list(w.pr_out_index.options(num_returns=R).remote())
-                for w in self.workers
-            ]
+        idx_refs = [_remote_buckets(w.pr_out_index, R) for w in self.workers]
         r = np.full(n, 1.0 / n, dtype=np.float64) if r0 is None else r0
         if p is not None and r0 is None:
             r = p.copy()
@@ -785,14 +716,8 @@ class ShardPool:
         def submit_round(dm_arg):
             nonlocal r_refs, s_refs
             val_refs = [
-                w.pr_partials.options(num_returns=R).remote(*s_refs)
-                if R > 1
-                else [w.pr_partials.remote(*s_refs)]
-                for w in self.workers
+                _remote_buckets(w.pr_partials, R, *s_refs) for w in self.workers
             ]
-            if R == 1:
-                # single worker returns the 1-tuple whole; unwrap
-                val_refs = [[ray.put(ray.get(val_refs[0][0])[0])]]
             outs = [
                 _pr_reduce_slice.options(num_returns=3).remote(
                     n,

@@ -31,6 +31,10 @@ Driver state: P actor handles, P*P refs per stage and P scalars per
 round, never an O(V) array. Input-side scaling (`scale` in `sum_wave`)
 folds L1 normalization into the next wave's read.
 
+The pool owns no round rule: Louvain and LPA decide with the broadcast
+tier's kernels (`algos/_local_move.py`), PageRank finishes with
+`state.shard_pool.pagerank_step`.
+
 Partitioning assumption: vids are dense 0..n-1 and `v % P` spreads
 vertex state evenly. `SpmvShard` raises ValueError on an edge endpoint
 or seed outside [0, n), `PeelShard` on a negative one (or one >= n when
@@ -45,6 +49,18 @@ import numpy as np
 import pyarrow as pa
 import ray
 import ray.data
+
+from parallel_louvain_method_ray.algos._local_move import (
+    _best_labels_for_shard,
+    chunked_local_move_sweep,
+    sweep_plan,
+)
+from parallel_louvain_method_ray.graph.csr import sum_by_key
+from parallel_louvain_method_ray.state.shard_pool import (
+    _fanout,
+    _remote_buckets,
+    pagerank_step,
+)
 
 # partitioned rows per actor when the caller gives no pool size
 _ROWS_PER_ACTOR = 500_000
@@ -78,19 +94,6 @@ def _acquire(key: tuple, P: int, args: tuple) -> list:
         except ray.exceptions.RayActorError:
             pass
     return actors + [key[1].remote(p, P, *args) for p in range(len(actors), P)]
-
-
-def _fanout(parts: list):
-    """Per-destination objects as ONE return value: a tuple for
-    `num_returns=P`, the lone object for a one-actor pool (Ray hands a
-    single return back as is)."""
-    return tuple(parts) if len(parts) > 1 else parts[0]
-
-
-def _remote_buckets(method, P: int, *args) -> list:
-    """Launch a call that returns P buckets; always a list of P refs."""
-    refs = method.options(num_returns=P).remote(*args)
-    return refs if P > 1 else [refs]
 
 
 def _buckets(key: np.ndarray, P: int, build) -> list:
@@ -280,11 +283,11 @@ class SpmvShard(_Shard):
         return float(x[~pos].sum())
 
     def pr_finish(
-        self, y_name: str, x_name: str, damping: float, base: float, want_delta: bool
+        self, y_name: str, x_name: str, damping: float, dm: float, want_delta: bool
     ) -> float:
-        """x <- base + damping * y; returns the slice's L1 delta vs the
+        """x <- pagerank_step(y, dm); returns the slice's L1 delta vs the
         previous x (0.0 when not requested)."""
-        new = base + damping * self.vecs[y_name]
+        new = pagerank_step(self.vecs[y_name], dm, self.n, damping)
         d = float(np.abs(new - self.vecs[x_name]).sum()) if want_delta else 0.0
         self.vecs[x_name] = new
         return d
@@ -424,35 +427,36 @@ class SpmvShard(_Shard):
     def lpa_wave(self, name: str):
         return _fanout(self._label_partials(name))
 
+    def _local_space(self, si, vals, w, cur, table, deg=None):
+        """My owned vertices' (si, value, weight) pairs, sorted by (si,
+        value), as a one-chunk plan whose rows are my vertices and whose
+        ids n_owned + j name `table[j]` (sorted, holding every value),
+        plus the ids of the current values `cur`, then of the table."""
+        no = self.n_owned
+        indptr = np.zeros(no + 1, dtype=np.int64)
+        np.cumsum(np.bincount(si, minlength=no), out=indptr[1:])
+        ids = no + np.searchsorted(table, np.concatenate([vals, cur, table]))
+        plan = sweep_plan(
+            np.arange(no), indptr, ids[: vals.size], w, deg, no, no + table.size
+        )
+        return plan, ids[vals.size :]
+
     def lpa_combine(self, name: str, *parts) -> int:
-        """Finish the sweep for my owned srcs: per src adopt the max-weight
-        label (min label on weight ties) iff strictly better than — or
-        tied with a smaller label than — the current label's own weight.
-        Returns #adoptions (the algos/lpa.py decision rule, Jacobi: `name`
-        was snapshotted by the wave before any combine mutates it)."""
+        """Finish the sweep for my owned srcs: `_best_labels_for_shard`
+        and the adoption rule of `ShardWorker.lpa_sweep`. The label table
+        holds the current labels too, so their weights are found. Returns
+        #adoptions (Jacobi: `name` was snapshotted by the wave)."""
         k = self._label_weights(parts)
         if k is None:
             return 0
-        ks, kl, kw = k
-        seg_bnd = np.ones(len(ks), dtype=bool)
-        seg_bnd[1:] = ks[1:] != ks[:-1]
-        seg_starts = np.flatnonzero(seg_bnd)
-        seg_id = np.cumsum(seg_bnd) - 1
-        wmax = np.maximum.reduceat(kw, seg_starts)
-        # best = smallest label among the argmax pairs: pairs are sorted
-        # by label within a segment, so the FIRST max-weight pair wins
-        is_max = np.flatnonzero(kw == wmax[seg_id])
-        _, first = np.unique(seg_id[is_max], return_index=True)
-        best = kl[is_max[first]]
+        si, l, kw = k
         lbl = self.vecs[name]
-        seg_src = ks[seg_starts]
-        cur = lbl[seg_src]
-        # curw = the current label's own incident weight (0 if absent)
-        curw = np.zeros(len(seg_starts))
-        match = np.flatnonzero(kl == cur[seg_id])
-        curw[seg_id[match]] = kw[match]
-        better = (wmax > curw) | ((wmax == curw) & (best < cur))
-        lbl[seg_src[better]] = best[better]
+        table = np.unique(np.concatenate([l, lbl]))
+        plan, lab = self._local_space(si, l, kw, lbl, table)
+        best, bw, curw = _best_labels_for_shard(plan, lab)
+        cur = lab[: self.n_owned]
+        better = (best >= 0) & ((bw > curw) | ((bw == curw) & (best < cur)))
+        lbl[better] = table[best[better] - self.n_owned]
         return int(better.sum())
 
     # A Louvain sweep (pure Jacobi) over the "asn" and "deg" vectors is
@@ -467,11 +471,9 @@ class SpmvShard(_Shard):
         deg = self.vecs["deg"]
 
         def stats(sel):
-            uu, inv = np.unique(c[sel], return_inverse=True)
-            tot = np.zeros(uu.size)
-            np.add.at(tot, inv, deg[sel])
-            csize = np.bincount(inv, minlength=uu.size)
-            return {"c": uu, "t": tot, "s": csize.astype(np.int64)}
+            uu, tot = sum_by_key(c[sel], deg[sel])
+            _, csize = sum_by_key(c[sel], 1.0)
+            return {"c": uu, "t": tot, "s": csize}
 
         return _fanout(
             list(zip(_buckets(c, self.P, stats), self._label_partials("asn")))
@@ -483,14 +485,14 @@ class SpmvShard(_Shard):
         (kept for the decide stage), and request the stats of every comm
         k names plus my vertices' own comms."""
         tot = np.zeros(self.n_owned)
-        csize = np.zeros(self.n_owned, dtype=np.int64)
+        csize = np.zeros(self.n_owned)
         cols = _columns([p[0] for p in parts], "c", "t", "s")
         if cols is not None:
             idx = self._local(cols[0])
             np.add.at(tot, idx, cols[1])
             np.add.at(csize, idx, cols[2])
         self._lv_tot = tot
-        self._lv_csize = csize.astype(np.float64)
+        self._lv_csize = csize
         k = self._label_weights([p[1] for p in parts])
         if k is None:
             e = np.empty(0, dtype=np.int64)
@@ -504,58 +506,26 @@ class SpmvShard(_Shard):
         return self._serve(parts, t=self._lv_tot, s=self._lv_csize)
 
     def louvain_decide(self, m2: float, *parts) -> int:
-        """Finish the sweep for my owned vertices: the
-        chunked_local_move_sweep decision against the snapshot stats —
-        gain = kw - tot_c * (dv / m2) per candidate comm, argmax with the
-        min-comm tie-break, remove-before-gain own threshold
-        max(k_own - (tot_own - dv) * dv / m2, 0), singleton-swap guard.
-        Mutates the assignment slice; returns #moves."""
+        """Finish the sweep for my owned vertices: one pure-Jacobi
+        `chunked_local_move_sweep` against the served comms' snapshot
+        stats. Mutates the assignment slice; returns #moves."""
         si, c, kw = self._lv_k
         del self._lv_k
         if si.size == 0:
             return 0
         carr, tarr, sarr = _columns(parts, "l", "t", "s")
         order = np.argsort(carr)
-        carr, tarr, sarr = carr[order], tarr[order], sarr[order]
+        carr = carr[order]
         asn = self.vecs["asn"]
-        deg = self.vecs["deg"]
-        # pairs are sorted by (si, c); segment = one vertex
-        seg_bnd = np.ones(len(si), dtype=bool)
-        seg_bnd[1:] = si[1:] != si[:-1]
-        seg_starts = np.flatnonzero(seg_bnd)
-        sid = np.cumsum(seg_bnd) - 1
-        nseg = len(seg_starts)
-        seg_si = si[seg_starts]
-        own_s = asn[seg_si].astype(np.int64)
-        dv_s = deg[seg_si]
-        own_pair = own_s[sid]
-        cand = c != own_pair
-        tot_pair = tarr[np.searchsorted(carr, c)]
-        gain = kw - tot_pair * (deg[si] / m2)
-        gmax = np.full(nseg, -np.inf)
-        np.maximum.at(gmax, sid[cand], gain[cand])
-        has_cand = gmax > -np.inf
-        is_best = np.flatnonzero(cand & (gain == gmax[sid]))
-        # first max-gain candidate per segment = smallest comm (pairs
-        # sorted by comm within a segment)
-        bseg, first = np.unique(sid[is_best], return_index=True)
-        best = np.full(nseg, -1, dtype=np.int64)
-        best[bseg] = c[is_best[first]]
-        ko = np.zeros(nseg)
-        m = np.flatnonzero(c == own_pair)
-        ko[sid[m]] = kw[m]
-        oi = np.searchsorted(carr, own_s)
-        tot_own = tarr[oi]
-        cs_own = sarr[oi]
-        gain_own = ko - (tot_own - dv_s) * dv_s / m2
-        thr = np.maximum(gain_own, 0.0)
-        accept = has_cand & (gmax > thr)
-        bi = np.searchsorted(carr, np.where(best >= 0, best, 0))
-        cs_b = sarr[bi]
-        guard = (best > own_s) & (cs_own == 1.0) & (cs_b == 1.0)
-        accept &= ~guard
-        asn[seg_si[accept]] = best[accept].astype(np.float64)
-        return int(accept.sum())
+        plan, comm = self._local_space(
+            si, c, kw, asn.astype(np.int64), carr, self.vecs["deg"]
+        )
+        pad = np.zeros(self.n_owned)
+        tot = np.concatenate([pad, tarr[order]])
+        csize = np.concatenate([pad, sarr[order]])
+        moves = chunked_local_move_sweep(plan, comm, tot, m2, csize=csize)
+        asn[:] = carr[comm[: self.n_owned] - self.n_owned]
+        return moves
 
     def collect(self, spec: list[tuple]) -> dict:
         """My slice as (vid, *cols) columns: spec entries are (vec_name,
@@ -830,8 +800,8 @@ def pagerank_partitioned(
     `algos.pagerank.pagerank` (uniform init, rank/deg scaling with the
     weighted degree, dangling mass redistributed uniformly, `tol <= 0` =
     fixed iteration count). One iteration = a local prep (scale +
-    dangling mass), one exchange wave, a local affine finish — the driver
-    sums 2P floats. `edges` must be symmetrized."""
+    dangling mass), one exchange wave, a local `pagerank_step` finish —
+    the driver sums 2P floats. `edges` must be symmetrized."""
     with SpmvPool(
         edges, SpmvShard, n, src_col=src_col, dst_col=dst_col,
         weight_col=weight_col, partitions=partitions,
@@ -844,9 +814,8 @@ def pagerank_partitioned(
         for it in range(max_iter):
             dm = float(sum(pool.exchange(("pr_prep", "x", "deg", "s"))))
             pool.exchange(("sum_wave", "s", 1.0, "f"), ("combine", "y"))
-            base = (1.0 - damping) / n + damping * dm / n
             deltas = pool.exchange(
-                ("pr_finish", "y", "x", damping, base, compute_delta)
+                ("pr_finish", "y", "x", damping, dm, compute_delta)
             )
             iters = it + 1
             if compute_delta:

@@ -71,38 +71,3 @@ def redact_patterns(
         return out
 
     return ds.map_batches(scrub, batch_format="pyarrow")
-
-
-def redaction_summary(ds: ray.data.Dataset, rules=None) -> pa.Table:
-    """Corpus-level audit row: total matches per rule + docs touched.
-    Per-block integer partials -> one tiny driver sum (O(blocks) rows)."""
-    rules = PII_RULES if rules is None else rules
-    names = [name for name, _, _ in rules]
-
-    scrubbed = ds
-    import numpy as np
-
-    def partial(batch: pa.Table) -> pa.Table:
-        _, counts = redact_batch(batch.column("text"), rules)
-        row: dict[str, list[int]] = {}
-        any_hit = None
-        for name in names:
-            c = counts[name].to_numpy(zero_copy_only=False)
-            row[f"total_{name}"] = [int(c.sum())]
-            hit = c > 0
-            any_hit = hit if any_hit is None else (any_hit | hit)
-        row["docs_redacted"] = [int(any_hit.sum())]
-        row["docs_total"] = [batch.num_rows]
-        return pa.table(row)
-
-    parts = scrubbed.map_batches(partial, batch_format="pyarrow")
-    tabs = [pa.table(b) for b in parts.iter_batches(batch_format="pyarrow")]
-    merged = pa.concat_tables(tabs)
-    out = {
-        c: pa.array(
-            [int(np.sum(merged.column(c).to_numpy(zero_copy_only=False)))],
-            pa.int64(),
-        )
-        for c in merged.column_names
-    }
-    return pa.table(out)

@@ -10,6 +10,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
+from parallel_louvain_method_ray import config
 from parallel_louvain_method_ray.algos.louvain import louvain
 from parallel_louvain_method_ray.algos.pagerank import pagerank
 from parallel_louvain_method_ray.ckpt.manifest import (
@@ -70,6 +71,40 @@ def test_louvain_resume_identical(tmp_path):
                       checkpointer=LouvainCheckpointer(ckdir, cfg))
     np.testing.assert_array_equal(resumed.assignments, baseline.assignments)
     assert resumed.modularity == pytest.approx(baseline.modularity, abs=1e-12)
+
+
+@pytest.mark.parametrize("distributed", [False, True])
+@pytest.mark.parametrize("max_levels", [1, 32])
+def test_rerun_over_finished_checkpoint_is_identical(
+    tmp_path, monkeypatch, max_levels, distributed
+):
+    """A rerun over the checkpoint of a run that finished must return the
+    same levels (sweeps, moves, Q), assignments and Q, and sweep none of
+    the levels that finished again: whether the run stopped at
+    `max_levels` after a level that moved (the CLI's default single
+    level) or at a coarse level without moves. `distributed` runs level 0
+    on the pool (where the oscillation guard can end it by a restore, and
+    the run ends in the polish pass) and the coarse levels on the driver."""
+    if distributed:
+        monkeypatch.setattr(config, "DRIVER_LOCAL_ROWS", 0)
+    cfg = EngineConfig(num_partitions=3, max_levels=max_levels)
+    src, dst, w, _ = planted_partition_graph(300, 3, 5, 1, seed=17)
+    graph = graph_from_entry_arrays(src, dst, w, cfg)
+    ckdir = str(tmp_path / "ck")
+
+    def sweep_files(levels):
+        return {
+            lv.level: sorted(os.listdir(os.path.join(ckdir, f"level={lv.level}")))
+            for lv in levels
+        }
+
+    first = louvain(graph, cfg, checkpointer=LouvainCheckpointer(ckdir, cfg))
+    files = sweep_files(first.levels)
+    again = louvain(graph, cfg, checkpointer=LouvainCheckpointer(ckdir, cfg))
+    assert again.levels == first.levels
+    np.testing.assert_array_equal(again.assignments, first.assignments)
+    assert again.modularity == first.modularity
+    assert sweep_files(first.levels) == files
 
 
 def test_resume_rejects_manifest_lineage_mismatch(tmp_path):

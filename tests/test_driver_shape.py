@@ -98,12 +98,10 @@ labels, meta = label_propagation(g, max_sweeps=2)
 assert labels.shape[0] == g.n
 # distributed levels end in the polish pass, which gathers the entry list
 # from the workers (ShardWorker.dump_entries)
-import importlib
+import parallel_louvain_method_ray.algos.louvain as louvain_mod
 from parallel_louvain_method_ray import config
 config.DRIVER_LOCAL_ROWS = 0
-importlib.import_module(
-    "parallel_louvain_method_ray.algos.louvain"
-).DRIVER_LOCAL_VERTICES = 0
+louvain_mod.DRIVER_LOCAL_VERTICES = 0
 res = louvain(g, EngineConfig(num_partitions=4))
 assert res.assignments.shape[0] == g.n
 print("FOREIGN_CWD_OK", meta.get("sweeps"))

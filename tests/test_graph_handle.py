@@ -123,6 +123,28 @@ def test_build_graph_small_matches_build_graph(max_entries):
     assert small.row_entries == [x.n_entries for x in a] == _old_row_sizes(small)
 
 
+def test_build_graph_small_metadata_bitwise_non_dyadic():
+    """Non-dyadic weights, rows of 64+ entries: the driver builder must
+    add degrees and the total weight exactly as `graph_from_shards` does
+    (per-row reduceat, rows in order), so a coarse level resumed from its
+    shard rows has the same metadata as the level first built."""
+    rng = np.random.default_rng(17)
+    n = 120
+    s = rng.integers(0, n, 6000, dtype=np.int64)
+    d = rng.integers(0, n, 6000, dtype=np.int64)
+    w = rng.uniform(0.1, 1.0, 6000)
+    src, dst, ww = np.concatenate([s, d]), np.concatenate([d, s]), np.concatenate([w, w])
+    assert np.bincount(src).min() >= 64
+    cfg = EngineConfig(num_partitions=4)
+    big = graph_from_entry_arrays(
+        src, dst, ww, cfg, already_symmetrized=True, n_vertices=n
+    )
+    small = build_graph_small(src, dst, ww, cfg, n_vertices=n)
+    assert small.total_weight == big.total_weight
+    np.testing.assert_array_equal(small.degrees(), big.degrees())
+    assert small.row_entries == big.row_entries
+
+
 def test_build_graph_small_empty():
     e = np.empty(0, np.int64)
     g = build_graph_small(e, e, np.empty(0, np.float64), n_vertices=3)

@@ -19,7 +19,7 @@ from parallel_louvain_method_ray.algos._local_move import (
     chunked_local_move_sweep,
     sweep_plan,
 )
-from parallel_louvain_method_ray.state.shard_pool import _best_labels_for_shard
+from parallel_louvain_method_ray.algos._local_move import _best_labels_for_shard
 
 
 def _old_chunked_local_move_sweep(

@@ -1,10 +1,9 @@
 """Distributed (Ray Data) Louvain vs the sequential oracle."""
 
-import importlib
-
 import numpy as np
 import pytest
 
+import parallel_louvain_method_ray.algos.louvain as LOUVAIN_MODULE
 from parallel_louvain_method_ray import config
 from parallel_louvain_method_ray.algos.louvain import (
     canonicalize_labels,
@@ -27,9 +26,6 @@ from tests.fixtures import (
     planted_partition_graph,
     random_graph,
 )
-
-# the module itself: `algos.louvain` on the package is the function
-LOUVAIN_MODULE = importlib.import_module("parallel_louvain_method_ray.algos.louvain")
 
 
 def test_distributed_modularity_matches_oracle_initial():

@@ -55,15 +55,9 @@ def test_prespawn_shutdown_before_attach_is_clean():
 
 
 def test_louvain_external_pool_parity_and_survival(monkeypatch):
-    import importlib
-
+    import parallel_louvain_method_ray.algos.louvain as louvain_mod
     from parallel_louvain_method_ray import config
     from parallel_louvain_method_ray.algos.louvain import louvain
-
-    # the module itself: `algos.louvain` on the package is the function
-    louvain_mod = importlib.import_module(
-        "parallel_louvain_method_ray.algos.louvain"
-    )
 
     g = _planted(seed=23, n=200)
     # force the distributed pool path

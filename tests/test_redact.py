@@ -1,6 +1,6 @@
 """Pattern redaction (textops/redact.py): kernel parity vs a scalar
 re-based reference, rule-order composition, null handling, block
-invariance, and the corpus summary."""
+invariance."""
 
 import re
 
@@ -11,7 +11,6 @@ from parallel_louvain_method_ray.textops.redact import (
     PII_RULES,
     redact_batch,
     redact_patterns,
-    redaction_summary,
 )
 
 DOCS = [
@@ -82,19 +81,3 @@ def test_redact_patterns_block_invariance(ray_session):
     ref = scalar_reference(DOCS[3])
     row = base[base.text == ref[0]].iloc[0]
     assert [row.n_email, row.n_ip, row.n_phone] == ref[1]
-
-
-def test_redaction_summary_totals(ray_session):
-    rows = [{"text": t} for t in DOCS[:5]]
-    ds = ray.data.from_items(rows, override_num_blocks=2)
-    tab = redaction_summary(ds)
-    got = {c: tab.column(c)[0].as_py() for c in tab.column_names}
-    want = {"total_email": 0, "total_ip": 0, "total_phone": 0, "docs_redacted": 0}
-    for t in DOCS[:5]:
-        _, (ne, ni, np_) = scalar_reference(t)
-        want["total_email"] += ne
-        want["total_ip"] += ni
-        want["total_phone"] += np_
-        want["docs_redacted"] += int(ne + ni + np_ > 0)
-    want["docs_total"] = 5
-    assert got == want

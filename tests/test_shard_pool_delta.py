@@ -131,13 +131,7 @@ def test_pagerank_power_personalized():
 def test_pagerank_routes_through_sharded_power(monkeypatch):
     """algos.pagerank must take the fully-sharded path above
     DRIVER_REDUCE_MAX_N and return the same ranks as the driver loop."""
-    import importlib
-
-    # algos/__init__ re-exports the pagerank FUNCTION under the same name
-    # as the submodule, so a plain `import ... as` resolves to the function
-    pr_mod = importlib.import_module(
-        "parallel_louvain_method_ray.algos.pagerank"
-    )
+    import parallel_louvain_method_ray.algos.pagerank as pr_mod
 
     g, _, _ = _directed_test_graph(seed=3)
     r_loop, m_loop = pr_mod.pagerank(g, tol=1e-12, max_iter=40)
