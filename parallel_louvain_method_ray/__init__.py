@@ -19,9 +19,11 @@ Design rules (see SURVEY.md §4):
 - Dataset + map_batches over zero-copy Arrow everywhere; actor pools for
   stateful stages; driver-side loops only for iteration control with small
   aggregates.
-- ONE hash shuffle per graph level (partition by ``src % P``); per-sweep state
-  (assignments, community totals, degrees — all O(V)) is broadcast via
-  ``ray.put`` and read zero-copy inside tasks.
+- ONE all-to-all per graph level: a pid-sort task per input block and a
+  CSR-pack task per partition (range or ``src % P`` of src). The packed rows
+  live on pool actors for the whole level; each round exchanges O(V) state
+  (assignments, community totals) or, on the sharded tier, only the
+  partitioned pieces.
 - Never call ray.init()/ray.shutdown() in library code.
 """
 

@@ -51,7 +51,7 @@ from parallel_louvain_method_ray.config import DEFAULT_CONFIG, EngineConfig
 from parallel_louvain_method_ray.graph.build import (
     GraphHandle,
     build_graph,
-    build_graph_small,
+    graph_from_entry_arrays,
 )
 from parallel_louvain_method_ray.graph.csr import (
     shards_to_entries,
@@ -129,7 +129,9 @@ def coarsen(
     # worker
     with pool_for(graph, pool) as pool:
         csrc, cdst, cw = pool.contract(dense, ncomms)
-    coarse = build_graph_small(csrc, cdst, cw, graph.config, n_vertices=ncomms)
+    coarse = graph_from_entry_arrays(
+        csrc, cdst, cw, graph.config, already_symmetrized=True, n_vertices=ncomms
+    )
     return coarse, dense
 
 
@@ -174,7 +176,8 @@ def louvain_level(
     `on_sweep(sweep_idx, assign, moves)` is the checkpoint hook; it sees
     the assignment the oscillation guard restored when it ends the level.
     `start_sweep`/`prior_moves` seed the metric totals on resume so a
-    resumed level reports its full history."""
+    resumed level reports its full history; its `modularity_before` is
+    the Q of the singletons it began from."""
     cfg = config or graph.config or DEFAULT_CONFIG
     with pool_for(graph, pool) as pool:
         n = graph.n
@@ -188,9 +191,13 @@ def louvain_level(
             level=-1, n_vertices=n, m=graph.m, sweeps=start_sweep,
             moves=prior_moves,
         )
-        metrics.modularity_before = modularity(graph, assign, m_mode, pool)
+        best_q = modularity(graph, assign, m_mode, pool)
+        # a level resumed after sweep 0 began from singletons (the polish
+        # pass starts from its input)
+        metrics.modularity_before = best_q if not start_sweep else modularity(
+            graph, np.arange(n, dtype=np.int64), m_mode, pool
+        )
         improved = prior_moves > 0
-        best_q = metrics.modularity_before
         best_assign = assign.copy()
         stall = 0
         prev_moves = np.iinfo(np.int64).max
@@ -316,7 +323,8 @@ def _driver_level(
     metrics = LevelMetrics(
         level=-1, n_vertices=n, m=graph.m, sweeps=start_sweep, moves=prior_moves
     )
-    metrics.modularity_before = _driver_q((src, dst, w), assign, deg, m2)
+    # from the singletons the level began from, also when it is resumed
+    metrics.modularity_before = _driver_q((src, dst, w), vids, deg, m2)
     improved = prior_moves > 0
     csize = np.bincount(assign, minlength=n) if tie_break == "canonical" else None
     tot = np.bincount(assign, weights=deg, minlength=n)
@@ -360,12 +368,9 @@ def _driver_coarsen(
     dense = np.searchsorted(old, assign).astype(np.int64)
     ncomms = int(old.shape[0])
     uk, wsum = sum_by_key(dense[src] * np.int64(ncomms) + dense[dst], w)
-    coarse = build_graph_small(
-        (uk // ncomms).astype(np.int64),
-        (uk % ncomms).astype(np.int64),
-        wsum,
-        cfg,
-        n_vertices=ncomms,
+    coarse = graph_from_entry_arrays(
+        uk // ncomms, uk % ncomms, wsum, cfg,
+        already_symmetrized=True, n_vertices=ncomms,
     )
     return coarse, dense
 
@@ -510,7 +515,8 @@ def louvain(
             if not local and pool is None:
                 pool = owned.enter_context(pool_for(graph))
             resume_here = level == start_level
-            if resume_here and finished is not None:
+            ended = resume_here and finished is not None
+            if ended:
                 # the level ended before the run stopped: its last sweep's
                 # assignment is its result
                 assign, improved, metrics = start_assign, finished.moves > 0, finished
@@ -540,6 +546,10 @@ def louvain(
                     pool=pool,
                 )
             metrics.level = level
+            # before the unimproved-level break, so a rerun ends here too
+            # instead of sweeping that level again
+            if checkpointer is not None and not ended:
+                checkpointer.end_level(level, metrics)
             if not improved and level > 0:
                 # no moves: keep the previous level's converged modularity —
                 # per-level Q is relative to that level's m (reference
@@ -552,8 +562,6 @@ def louvain(
                 coarse, dense = coarsen(graph, assign, pool=pool)
             membership = dense[membership]
             levels.append(metrics)
-            if checkpointer is not None:
-                checkpointer.end_level(level, metrics)
             if not improved:
                 break
             if coarse.n == graph.n:

@@ -36,7 +36,7 @@ import numpy as np
 import pyarrow as pa
 import ray.data
 
-from parallel_louvain_method_ray.algos.joined import _tight
+from parallel_louvain_method_ray.algos.joined import _join
 from parallel_louvain_method_ray.ops.fastgroup import count_by_key_sorted
 
 
@@ -93,14 +93,12 @@ def reach2_pairs(
     else:
         right = e
 
-    # _tight both operands: Ray 2.49's hash join raises on empty operand
-    # blocks (see algos/joined.py:_tight); e/right are already compact
-    two = _tight(e, num_partitions).join(
-        _tight(right.rename_columns({"u": "w", "v": "v2"}), num_partitions),
-        join_type="inner",
-        num_partitions=num_partitions,
+    two = _join(
+        e,
+        right.rename_columns({"u": "w", "v": "v2"}),
         on=("v",),
         right_on=("w",),
+        P=num_partitions,
     )
 
     def two_pairs(b: pa.Table) -> pa.Table:
@@ -150,12 +148,8 @@ def scc2_labels(
         lambda b: pa.table({"u2": b.column("v"), "v2": b.column("u")}),
         batch_format="pyarrow",
     )
-    mutual = _tight(reach, num_partitions).join(
-        _tight(rev, num_partitions),
-        join_type="inner",
-        num_partitions=num_partitions,
-        on=("u", "v"),
-        right_on=("u2", "v2"),
+    mutual = _join(
+        reach, rev, on=("u", "v"), right_on=("u2", "v2"), P=num_partitions
     )
     out = mutual.groupby("u").min("v")
     return out.rename_columns({"u": "vid", "min(v)": "scc2_label"})

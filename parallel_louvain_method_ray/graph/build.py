@@ -1,25 +1,15 @@
-"""Distributed graph construction on Ray Data.
+"""Distributed graph construction.
 
 Replaces the reference's parse → MPI alltoallv edge shuffle → per-rank CSR
-(`/root/reference/src/graph.cpp:106-227`) with ONE Ray Data hash shuffle:
-
-    edges --map_batches--> symmetrized entries + pid(src)
-          --groupby('pid').map_groups--> packed CSR shard rows (P rows)
-          --materialize once per level-->
-
-Everything downstream (Louvain sweeps, PageRank iterations, modularity,
-coarsening) re-scans the materialized shard Dataset with shuffle-free
-map_batches, reading per-sweep O(V) state (assignments / community totals /
-degrees) from the object store via ray.put broadcast — zero-copy numpy.
-
-Scale notes (100 TB / 256 nodes):
-- the single shuffle is the unavoidable all-to-all; partition key is
-  `src % P` over dense renumbered ids (balanced; no N%P==0 constraint like
-  the reference's block partition, `src/graph.cpp:131-134`);
-- broadcast state is O(V) — fine while V << E (web graphs: ~50 edges/page).
-  For V beyond single-node RAM the same sweeps run with the ghost-restricted
-  variant: join edges⋈assignments on dst per sweep (SURVEY §4.3) instead of
-  broadcast; the kernel is unchanged.
+(`/root/reference/src/graph.cpp:106-227`) with one all-to-all of Ray tasks
+and no Ray Data shuffle: `_split_block` sorts one input block's entries by
+pid (a range of the dense ids when n is known, else `src % P`; neither has
+the reference's N%P==0 constraint, `src/graph.cpp:131-134`), and
+`_pack_pid` packs one pid's runs, zero-copy slices of every sorted block,
+into CSR shard rows. `build_graph` runs them as one task per input block
+and one per pid; `graph_from_entry_arrays` runs them locally on driver
+arrays (coarse Louvain levels). The pools (`state/`) hold the rows for a
+whole level and run every sweep and iteration against them.
 """
 
 from __future__ import annotations
@@ -34,7 +24,7 @@ import ray.data
 
 from parallel_louvain_method_ray.config import DEFAULT_CONFIG, EngineConfig
 from parallel_louvain_method_ray.graph.csr import (
-    CSRShard,
+    SHARD_SCHEMA,
     pack_shard_table,
     shards_to_entries,
     unpack_shards,
@@ -68,7 +58,7 @@ def dedup_entries(entries: ray.data.Dataset) -> ray.data.Dataset:
     """Global exact dedup of (src, dst, weight) triples via hash shuffle.
 
     Used by the standalone `queries()` surface; `build_graph` instead dedups
-    inside the per-partition CSR pack (same result, one shuffle total).
+    inside the per-partition CSR pack (same result, no Ray Data shuffle).
     """
     return (
         entries.groupby(["src", "dst", "weight"])
@@ -289,7 +279,8 @@ def _renumber_join(
 class GraphHandle:
     """A built, materialized level-graph.
 
-    `shards` is a Dataset of P packed CSR rows (csr.SHARD_SCHEMA).
+    `shards` is a Dataset of packed CSR rows (csr.SHARD_SCHEMA), at least
+    one per pid with entries.
     `degrees_ref` is a ray.put ObjectRef to the dense weighted-degree array
     (`float64[n]`), computed once per level (fixes the reference's
     recompute-on-every-call TODO at `src/graph.cpp:237`).
@@ -308,6 +299,68 @@ class GraphHandle:
         return ray.get(self.degrees_ref)
 
 
+def _split_block(
+    block, P: int, n_vertices: int | None, already_symmetrized: bool
+) -> tuple[pa.Table, np.ndarray]:
+    """One input block's (src:int64, dst:int64, weight:float64) entries,
+    symmetrized unless `already_symmetrized`, sorted by pid, and the P+1
+    bounds of the pid runs. With n known, pid is the contiguous range
+    `src * P // n`: ids from SORTED url renumbering keep hostname locality,
+    so most Louvain moves are partition-local. Else it is `src % P`."""
+    t = block if isinstance(block, pa.Table) else pa.table(block)
+    if t.num_rows and not already_symmetrized:
+        t = _symmetrize_batch(t)
+
+    def col(name: str, dtype) -> np.ndarray:
+        if not t.num_rows:  # an empty block may carry no schema
+            return np.empty(0, dtype)
+        return t.column(name).to_numpy(zero_copy_only=False).astype(dtype, copy=False)
+
+    src = col("src", np.int64)
+    if n_vertices is not None:
+        pid = np.minimum(src * P // max(n_vertices, 1), P - 1)
+    else:
+        pid = src % P
+    order = np.argsort(pid, kind="stable")
+    bounds = np.r_[0, np.cumsum(np.bincount(pid, minlength=P))]
+    return pa.table(
+        {
+            "src": src[order],
+            "dst": col("dst", np.int64)[order],
+            "weight": col("weight", np.float64)[order],
+        }
+    ), bounds
+
+
+def _pack_pid(pid: int, max_entries: int, *parts) -> tuple[pa.Table, tuple]:
+    """Packed CSR row(s) of partition `pid` and their `_shard_block_meta`,
+    from the `_split_block` outputs of every input block: each block's run
+    is a zero-copy slice. A pid with no entries gives no rows."""
+    runs = [
+        t.slice(b[pid], b[pid + 1] - b[pid]) for t, b in parts if b[pid + 1] > b[pid]
+    ]
+    if not runs:
+        return SHARD_SCHEMA.empty_table(), ([], -1, [], [])
+    entries = pa.concat_tables(runs)
+    pids = np.full(entries.num_rows, pid, dtype=np.int64)
+    rows = pack_shard_table(
+        entries.append_column("pid", pa.array(pids)), max_entries_per_shard=max_entries
+    )
+    return rows, _shard_block_meta(rows)
+
+
+_split_task = ray.remote(_split_block)
+_pack_task = ray.remote(num_returns=2)(_pack_pid)
+
+
+def _publish(blocks: list, metas: list, cfg: EngineConfig, n_vertices) -> GraphHandle:
+    """GraphHandle over `blocks`, refs of non-empty packed-row tables whose
+    `_shard_block_meta`s, in row order, are `metas`; one typed empty block
+    when there are no rows."""
+    shards = ray.data.from_arrow_refs(blocks or [ray.put(SHARD_SCHEMA.empty_table())])
+    return _graph_from_metas(shards, metas, cfg, n_vertices)
+
+
 def build_graph(
     edges: ray.data.Dataset,
     config: EngineConfig | None = None,
@@ -319,50 +372,30 @@ def build_graph(
 
     Vertex ids must be dense 0..N-1 (use `renumber` first otherwise —
     the reference makes the same assumption, `src/graph.cpp:107-108`).
+    One `_split_block` task per input block, then one `_pack_pid` task per
+    pid: no Ray Data shuffle. The shard Dataset has one block per pid with
+    entries.
     """
     cfg = config or DEFAULT_CONFIG
     P = cfg.num_partitions
-    # contiguous vid ranges when n is known: dense ids come from SORTED
-    # url/raw-id renumbering, so range partitions preserve hostname
-    # locality — most Louvain moves become partition-local Gauss-Seidel.
-    # Without n, pid = src % P (no locality, perfectly balanced).
-    use_range = n_vertices is not None
-    n_for_range = n_vertices or 0
-
-    def prep(batch: pa.Table) -> pa.Table:
-        t = batch if already_symmetrized else _symmetrize_batch(batch)
-        src = t.column("src").to_numpy(zero_copy_only=False)
-        if use_range:
-            # contiguous ranges preserve the hostname locality of sorted-id
-            # renumbering -> most community structure is partition-local
-            pid = np.minimum(src * P // max(n_for_range, 1), P - 1).astype(np.int64)
-        else:
-            pid = (src % P).astype(np.int64)
-        return t.append_column("pid", pa.array(pid, type=pa.int64()))
-
-    max_entries = cfg.max_entries_per_shard
-
-    def pack(group: pa.Table) -> pa.Table:
-        return pack_shard_table(group, max_entries_per_shard=max_entries)
-
-    # repartition so each (sub-)shard row is its own block: the groupby can
-    # merge all P rows into one or two blocks, which would starve the
-    # per-block parallelism of every downstream pass (and the ShardPool)
-    shards = (
-        edges.map_batches(prep, batch_format="pyarrow")
-        .groupby("pid")
-        .map_groups(pack, batch_format="pyarrow")
-        .repartition(P)
-        .materialize()
-    )
-
-    return graph_from_shards(shards, cfg, n_vertices=n_vertices)
+    parts = [
+        _split_task.remote(ref, P, n_vertices, already_symmetrized)
+        for bundle in edges.iter_internal_ref_bundles()
+        for ref in bundle.block_refs
+    ]
+    packed = [
+        _pack_task.remote(p, cfg.max_entries_per_shard, *parts) for p in range(P)
+    ]
+    metas = ray.get([meta for _, meta in packed])
+    blocks = [rows for (rows, _), meta in zip(packed, metas) if meta[0]]
+    return _publish(blocks, metas, cfg, n_vertices)
 
 
 def _shard_block_meta(block) -> tuple:
     """(n_entries per row, max_vid, vids per shard, degrees per shard) of
-    one packed shard block: a task per block in `graph_from_shards` (the
-    driver never pulls the CSR arrays), a local call in `build_graph_small`."""
+    one packed shard block: a task per block in `graph_from_shards`, and
+    part of every `_pack_pid` result, so the driver never pulls the CSR
+    arrays."""
     t = block if isinstance(block, pa.Table) else pa.table(block)
     if t.num_rows == 0:  # an empty block may carry no schema
         return [], -1, [], []
@@ -395,9 +428,9 @@ def graph_from_shards(
 
 
 def _graph_from_metas(shards, metas: list, config, n_vertices) -> GraphHandle:
-    """GraphHandle from the `_shard_block_meta` of each block of `shards`.
-    Degrees and the weight sum are added in block order, then row order:
-    they depend on the shard rows only, not on how they were built."""
+    """GraphHandle from the `_shard_block_meta`s of the rows of `shards`,
+    in row order. Degrees and the weight sum are added in row order: they
+    depend on the shard rows only, not on how they were built or blocked."""
     row_entries = [e for meta in metas for e in meta[0]]
     max_vid = max((meta[1] for meta in metas), default=-1)
     n = n_vertices if n_vertices is not None else max_vid + 1
@@ -420,51 +453,6 @@ def _graph_from_metas(shards, metas: list, config, n_vertices) -> GraphHandle:
     )
 
 
-def build_graph_small(
-    src: np.ndarray,
-    dst: np.ndarray,
-    w: np.ndarray,
-    config: EngineConfig | None = None,
-    *,
-    n_vertices: int,
-) -> GraphHandle:
-    """Driver-side fast path for SMALL already-symmetrized entry arrays
-    (coarse Louvain levels): pack CSR shards with numpy and `ray.put` each
-    shard row as its own block — no shuffle and no Ray Data execution.
-    Semantically identical to build_graph(already_symmetrized=True), the
-    metadata bit for bit."""
-    from parallel_louvain_method_ray.graph.csr import SHARD_SCHEMA, pack_shard_table
-
-    cfg = config or DEFAULT_CONFIG
-    P = cfg.num_partitions
-    src = src.astype(np.int64, copy=False)
-    dst = dst.astype(np.int64, copy=False)
-    w = w.astype(np.float64, copy=False)
-    pid = np.minimum(src * P // max(n_vertices, 1), P - 1)
-    tables = []
-    for p in np.unique(pid):
-        m = pid == p
-        t = pa.table(
-            {
-                "pid": np.full(int(m.sum()), p, dtype=np.int64),
-                "src": src[m],
-                "dst": dst[m],
-                "weight": w[m],
-            }
-        )
-        tables.append(
-            pack_shard_table(t, max_entries_per_shard=cfg.max_entries_per_shard)
-        )
-    # one block per shard row, published without a Ray Data execution
-    rows = [t.slice(i, 1) for t in tables for i in range(t.num_rows)] or [
-        pa.Table.from_pydict({k: [] for k in SHARD_SCHEMA.names}, schema=SHARD_SCHEMA)
-    ]
-    shards = ray.data.from_arrow_refs([ray.put(r) for r in rows])
-    return _graph_from_metas(
-        shards, [_shard_block_meta(r) for r in rows], cfg, n_vertices
-    )
-
-
 def graph_from_entry_arrays(
     src: np.ndarray,
     dst: np.ndarray,
@@ -474,19 +462,20 @@ def graph_from_entry_arrays(
     already_symmetrized: bool = False,
     n_vertices: int | None = None,
 ) -> GraphHandle:
-    """Convenience: build a GraphHandle from in-memory numpy edge arrays."""
-    ds = ray.data.from_arrow(
-        pa.table(
-            {
-                "src": src.astype(np.int64),
-                "dst": dst.astype(np.int64),
-                "weight": w.astype(np.float64),
-            }
-        )
-    )
-    return build_graph(
-        ds, config, already_symmetrized=already_symmetrized, n_vertices=n_vertices
-    )
+    """`build_graph` over driver-held entry arrays (coarse Louvain levels,
+    small inputs), run locally: the same split and pack as the task path,
+    each shard row `ray.put` as its own block, with no Ray Data execution."""
+    cfg = config or DEFAULT_CONFIG
+    entries = {
+        "src": np.asarray(src, dtype=np.int64),
+        "dst": np.asarray(dst, dtype=np.int64),
+        "weight": np.asarray(w, dtype=np.float64),
+    }
+    P = cfg.num_partitions
+    part = _split_block(pa.table(entries), P, n_vertices, already_symmetrized)
+    packed = [_pack_pid(p, cfg.max_entries_per_shard, part) for p in range(P)]
+    blocks = [ray.put(t.slice(i, 1)) for t, _ in packed for i in range(t.num_rows)]
+    return _publish(blocks, [meta for _, meta in packed], cfg, n_vertices)
 
 
 def entries_dataset(graph: GraphHandle) -> ray.data.Dataset:

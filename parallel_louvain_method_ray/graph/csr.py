@@ -134,15 +134,6 @@ def pack_shard_table(
         rows["indptr"].append(indptr[a : b + 1] - lo)
         rows["cols"].append(dst[lo:hi])
         rows["weights"].append(w[lo:hi])
-    if not rows["pid"]:
-        rows["pid"].append(pid)
-        rows["n_vertices"].append(0)
-        rows["n_entries"].append(0)
-        rows["max_vid"].append(-1)
-        rows["vids"].append(np.empty(0, np.int64))
-        rows["indptr"].append(np.zeros(1, np.int64))
-        rows["cols"].append(np.empty(0, np.int64))
-        rows["weights"].append(np.empty(0, np.float64))
     return pa.Table.from_pydict(rows, schema=SHARD_SCHEMA)
 
 

@@ -4021,7 +4021,7 @@ def q_web_twopath_centrality(sf_dir: str):
     Three small shuffles over pre-aggregated tables: two degree groupbys
     and the reciprocal-edge probe; no wedge explosion — the product is
     arithmetic on degrees, never an enumeration."""
-    from parallel_louvain_method_ray.algos.joined import _tight
+    from parallel_louvain_method_ray.algos.joined import _join
 
     def _noself(b: pa.Table) -> pa.Table:
         t = pa.table({"src": b.column("src"), "dst": b.column("dst")})
@@ -4044,13 +4044,7 @@ def q_web_twopath_centrality(sf_dir: str):
         lambda b: pa.table({"src2": b.column("dst"), "dst2": b.column("src")}),
         batch_format="pyarrow",
     )
-    recip_edges = _tight(edges, 8).join(
-        _tight(rev, 8),
-        join_type="inner",
-        num_partitions=8,
-        on=("src", "dst"),
-        right_on=("src2", "dst2"),
-    )
+    recip_edges = _join(edges, rev, on=("src", "dst"), right_on=("src2", "dst2"))
     recip = recip_edges.groupby("src").aggregate(Count()).rename_columns(
         {"src": "vid", "count()": "recip"}
     )
@@ -4060,15 +4054,9 @@ def q_web_twopath_centrality(sf_dir: str):
         lambda b: pa.table({"vid": b.column("id").cast(pa.int64())}),
         batch_format="pyarrow",
     )
-    j = _tight(verts, 8).join(
-        _tight(outd, 8), join_type="left_outer", num_partitions=8, on=("vid",)
-    )
-    j = _tight(j, 8).join(
-        _tight(ind, 8), join_type="left_outer", num_partitions=8, on=("vid",)
-    )
-    j = _tight(j, 8).join(
-        _tight(recip, 8), join_type="left_outer", num_partitions=8, on=("vid",)
-    )
+    j = _join(verts, outd, on=("vid",), how="left_outer")
+    j = _join(j, ind, on=("vid",), how="left_outer")
+    j = _join(j, recip, on=("vid",), how="left_outer")
 
     def finish(b: pa.Table) -> pa.Table:
         def col(name):
@@ -4448,7 +4436,7 @@ def q_event_type_overlap(sf_dir: str):
     pair intersection counts -> one small join against per-type
     cardinalities; the overlap matrix a mixing dashboard shows. Jaccard
     is one round-9 division over exact integers."""
-    from parallel_louvain_method_ray.algos.joined import _tight
+    from parallel_louvain_method_ray.algos.joined import _join
     from ray.data.aggregate import Count
 
     events = read_table(sf_dir, "events", columns=["user_id", "event_type"])
@@ -4462,15 +4450,9 @@ def q_event_type_overlap(sf_dir: str):
         r["event_type"]: r["count()"]
         for r in distinct.groupby("event_type").aggregate(Count()).take_all()
     }
-    pairs = _tight(distinct, 8).join(
-        _tight(
-            distinct.rename_columns(
-                {"user_id": "u2", "event_type": "type_b"}
-            ),
-            8,
-        ),
-        join_type="inner",
-        num_partitions=8,
+    pairs = _join(
+        distinct,
+        distinct.rename_columns({"user_id": "u2", "event_type": "type_b"}),
         on=("user_id",),
         right_on=("u2",),
     )
@@ -4542,7 +4524,7 @@ def q_repeat_orders_7d(sf_dir: str):
     bucket) keys, ONE hash join, then the exact |day diff| <= 7 residual
     filter runs vectorized post-join. The standard bounded-range
     temporal-join shape at shuffle scale."""
-    from parallel_louvain_method_ray.algos.joined import _tight
+    from parallel_louvain_method_ray.algos.joined import _join
     from ray.data.aggregate import Sum
 
     DAY = 86_400_000_000
@@ -4596,13 +4578,7 @@ def q_repeat_orders_7d(sf_dir: str):
 
     left = base.map_batches(explode, batch_format="pyarrow")
     right = base.map_batches(keyed, batch_format="pyarrow")
-    j = _tight(left, 8).join(
-        _tight(right, 8),
-        join_type="inner",
-        num_partitions=8,
-        on=("u", "bucket"),
-        right_on=("u2", "bucket2"),
-    )
+    j = _join(left, right, on=("u", "bucket"), right_on=("u2", "bucket2"))
 
     def residual(b: pa.Table) -> pa.Table:
         k = b.column("k").to_numpy(zero_copy_only=False)
@@ -4675,7 +4651,7 @@ def q_web_harmonic2(sf_dir: str):
     |exactly-2-hop(u)| (1/d contributions at d=1,2 scaled by 2) —
     composed from the distinct out-degree and the exact 2-hop ball size
     already computed by `algos/scc.py:ball2_sizes`; no division ever."""
-    from parallel_louvain_method_ray.algos.joined import _tight
+    from parallel_louvain_method_ray.algos.joined import _join
     from parallel_louvain_method_ray.algos.scc import ball2_sizes
     from ray.data.aggregate import Count
 
@@ -4693,12 +4669,7 @@ def q_web_harmonic2(sf_dir: str):
         .rename_columns({"src": "vid", "count()": "outdeg"})
     )
     balls = ball2_sizes(e, n)
-    j = _tight(balls, 8).join(
-        _tight(outd, 8),
-        join_type="left_outer",
-        num_partitions=8,
-        on=("vid",),
-    )
+    j = _join(balls, outd, on=("vid",), how="left_outer")
 
     def finish(b: pa.Table) -> pa.Table:
         ball = b.column("ball2").to_numpy(zero_copy_only=False).astype(

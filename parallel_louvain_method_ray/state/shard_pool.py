@@ -1,6 +1,6 @@
 """Persistent CSR shard actors: the one executor of the broadcast tier.
 
-Graph CONSTRUCTION is Dataset-shaped (one shuffle, streaming); the
+Graph CONSTRUCTION is one task all-to-all (`graph/build.py`); the
 ITERATIVE phases (Louvain sweeps, PageRank/Katz power iterations, CC
 rounds, LPA sweeps) are BSP loops whose per-round work is tiny compared to
 a fresh Dataset execution's task-graph overhead. This is the case SURVEY

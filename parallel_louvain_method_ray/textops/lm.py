@@ -93,18 +93,10 @@ def score_docs(
             }
         )
 
-    # _tight: Ray 2.49's hash join raises ArrowInvalid when an operand's
-    # block list contains empty blocks (schema-less partials) — compact
-    # both sides to nonempty blocks first (see algos/joined.py:_tight)
-    from parallel_louvain_method_ray.algos.joined import _tight
+    from parallel_louvain_method_ray.algos.joined import _join
 
     exploded = docs.map_batches(doc_partial, batch_format="pyarrow")
-    joined = _tight(exploded, num_partitions).join(
-        _tight(model, num_partitions),
-        join_type="inner",
-        num_partitions=num_partitions,
-        on=("h",),
-    )
+    joined = _join(exploded, model, on=("h",), P=num_partitions)
 
     def products(batch: pa.Table) -> pa.Table:
         n = batch.column("n_local").to_numpy(zero_copy_only=False)

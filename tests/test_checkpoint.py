@@ -9,6 +9,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
+import ray
+import ray.data
 
 from parallel_louvain_method_ray import config
 from parallel_louvain_method_ray.algos.louvain import louvain
@@ -19,7 +21,7 @@ from parallel_louvain_method_ray.ckpt.manifest import (
 )
 from parallel_louvain_method_ray.config import EngineConfig
 from parallel_louvain_method_ray.graph.build import (
-    build_graph_small,
+    build_graph,
     graph_from_entry_arrays,
 )
 from parallel_louvain_method_ray.graph.csr import shards_to_entries, unpack_shards
@@ -92,19 +94,51 @@ def test_rerun_over_finished_checkpoint_is_identical(
     graph = graph_from_entry_arrays(src, dst, w, cfg)
     ckdir = str(tmp_path / "ck")
 
-    def sweep_files(levels):
-        return {
-            lv.level: sorted(os.listdir(os.path.join(ckdir, f"level={lv.level}")))
-            for lv in levels
-        }
+    def files():
+        return sorted(
+            os.path.relpath(os.path.join(d, f), ckdir)
+            for d, _, names in os.walk(ckdir)
+            for f in names
+        )
 
     first = louvain(graph, cfg, checkpointer=LouvainCheckpointer(ckdir, cfg))
-    files = sweep_files(first.levels)
+    before = files()
     again = louvain(graph, cfg, checkpointer=LouvainCheckpointer(ckdir, cfg))
     assert again.levels == first.levels
     np.testing.assert_array_equal(again.assignments, first.assignments)
     assert again.modularity == first.modularity
-    assert sweep_files(first.levels) == files
+    # no level swept again: not even the last, unimproved coarse level
+    assert files() == before
+
+
+@pytest.mark.parametrize("distributed", [False, True])
+def test_resume_mid_level_reports_identical_levels(tmp_path, monkeypatch, distributed):
+    """A run killed after the second sweep of level 0 and resumed reports
+    the uninterrupted run's levels field for field: `modularity_before`
+    is the Q of the level's singletons, not of the resume point.
+    `distributed` runs level 0 on the pool, else on the driver."""
+    if distributed:
+        monkeypatch.setattr(config, "DRIVER_LOCAL_ROWS", 0)
+    cfg = EngineConfig(num_partitions=3)
+    # move counts fall every sweep here, so the oscillation guard, which
+    # is not checkpointed, never acts
+    src, dst, w, _ = planted_partition_graph(300, 6, 8, 1, seed=17)
+    baseline = louvain(graph_from_entry_arrays(src, dst, w, cfg), cfg)
+    assert baseline.levels[0].sweeps > 2  # the kill lands mid-level
+
+    ckdir = str(tmp_path / "ck")
+    with pytest.raises(_Killed):
+        louvain(
+            graph_from_entry_arrays(src, dst, w, cfg), cfg,
+            checkpointer=_KillingCheckpointer(ckdir, cfg, kill_after=2),
+        )
+    resumed = louvain(
+        graph_from_entry_arrays(src, dst, w, cfg), cfg,
+        checkpointer=LouvainCheckpointer(ckdir, cfg),
+    )
+    assert resumed.levels == baseline.levels
+    np.testing.assert_array_equal(resumed.assignments, baseline.assignments)
+    assert resumed.modularity == baseline.modularity
 
 
 def test_resume_rejects_manifest_lineage_mismatch(tmp_path):
@@ -218,15 +252,20 @@ def _hub_graph(cfg):
     d = np.concatenate([np.arange(1, n), np.r_[2:n, 1]])
     src, dst = np.concatenate([s, d]), np.concatenate([d, s])
     w = np.ones(src.shape[0], dtype=np.float64)
-    return build_graph_small(src, dst, w, cfg, n_vertices=n)
+    return graph_from_entry_arrays(
+        src, dst, w, cfg, already_symmetrized=True, n_vertices=n
+    )
 
 
 def test_resume_round_trips_level_graphs(tmp_path):
-    """resume() gives back the checkpointed level graph (a coarse
-    build_graph_small level with a split hub), and load_level_graph(0)
+    """resume() gives back the checkpointed level graph (a coarse level
+    built from driver arrays, with a split hub), and load_level_graph(0)
     the build_graph level 0."""
     cfg = EngineConfig(num_partitions=3, max_entries_per_shard=16)
-    g0, _ = _graph(cfg)
+    _, (src, dst, w) = _graph(cfg)
+    g0 = build_graph(
+        ray.data.from_arrow(pa.table({"src": src, "dst": dst, "weight": w})), cfg
+    )
     g1 = _hub_graph(cfg)
     assert len(g1.row_entries) > 3  # the hub's partition was split
     ck = LouvainCheckpointer(str(tmp_path / "ck"), cfg)

@@ -1,5 +1,5 @@
 """GraphHandle metadata, shard-row sizes, the driver's entry sort and the
-coarse-level builder."""
+local build of driver-held entry arrays (coarse levels)."""
 
 import numpy as np
 import pyarrow as pa
@@ -9,7 +9,7 @@ import ray
 from parallel_louvain_method_ray.algos.louvain import _collect_entries, _sorted_entries
 from parallel_louvain_method_ray.config import EngineConfig
 from parallel_louvain_method_ray.graph.build import (
-    build_graph_small,
+    build_graph,
     graph_from_entry_arrays,
 )
 from parallel_louvain_method_ray.graph.csr import (
@@ -99,18 +99,28 @@ def test_graph_handle_row_entries_and_assignment(max_entries):
     assert assignment == want
 
 
+def _task_build(src, dst, w, cfg, **kw):
+    """`build_graph` on a two-block Dataset: the split and pack tasks."""
+    h = src.shape[0] // 2
+    blocks = [
+        pa.table({"src": src[a:b], "dst": dst[a:b], "weight": w[a:b]})
+        for a, b in ((0, h), (h, src.shape[0]))
+    ]
+    return build_graph(ray.data.from_arrow(blocks), cfg, **kw)
+
+
 @pytest.mark.parametrize("max_entries", [4_000_000, 200])
-def test_build_graph_small_matches_build_graph(max_entries):
+def test_local_build_matches_build_graph(max_entries):
     s, d, w = _edges(n=300, m=1500, seed=9)
     # a symmetric entry list with duplicate triples, as coarsening emits
     src = np.concatenate([s, d[s != d], s[:50]])
     dst = np.concatenate([d, s[s != d], d[:50]])
     ww = np.concatenate([w, w[s != d], w[:50]])
     cfg = EngineConfig(num_partitions=4, max_entries_per_shard=max_entries)
-    big = graph_from_entry_arrays(
+    big = _task_build(src, dst, ww, cfg, already_symmetrized=True, n_vertices=300)
+    small = graph_from_entry_arrays(
         src, dst, ww, cfg, already_symmetrized=True, n_vertices=300
     )
-    small = build_graph_small(src, dst, ww, cfg, n_vertices=300)
     assert (small.n, small.m, small.n_entries) == (big.n, big.m, big.n_entries)
     assert small.total_weight == big.total_weight
     np.testing.assert_array_equal(small.degrees(), big.degrees())
@@ -123,8 +133,8 @@ def test_build_graph_small_matches_build_graph(max_entries):
     assert small.row_entries == [x.n_entries for x in a] == _old_row_sizes(small)
 
 
-def test_build_graph_small_metadata_bitwise_non_dyadic():
-    """Non-dyadic weights, rows of 64+ entries: the driver builder must
+def test_local_build_metadata_bitwise_non_dyadic():
+    """Non-dyadic weights, rows of 64+ entries: the local build must
     add degrees and the total weight exactly as `graph_from_shards` does
     (per-row reduceat, rows in order), so a coarse level resumed from its
     shard rows has the same metadata as the level first built."""
@@ -136,18 +146,20 @@ def test_build_graph_small_metadata_bitwise_non_dyadic():
     src, dst, ww = np.concatenate([s, d]), np.concatenate([d, s]), np.concatenate([w, w])
     assert np.bincount(src).min() >= 64
     cfg = EngineConfig(num_partitions=4)
-    big = graph_from_entry_arrays(
+    big = _task_build(src, dst, ww, cfg, already_symmetrized=True, n_vertices=n)
+    small = graph_from_entry_arrays(
         src, dst, ww, cfg, already_symmetrized=True, n_vertices=n
     )
-    small = build_graph_small(src, dst, ww, cfg, n_vertices=n)
     assert small.total_weight == big.total_weight
     np.testing.assert_array_equal(small.degrees(), big.degrees())
     assert small.row_entries == big.row_entries
 
 
-def test_build_graph_small_empty():
+def test_local_build_empty():
     e = np.empty(0, np.int64)
-    g = build_graph_small(e, e, np.empty(0, np.float64), n_vertices=3)
+    g = graph_from_entry_arrays(
+        e, e, np.empty(0, np.float64), already_symmetrized=True, n_vertices=3
+    )
     assert (g.n_entries, g.m, g.total_weight) == (0, 0, 0.0)
     assert g.row_entries == [] and g.shards.count() == 0
     np.testing.assert_array_equal(g.degrees(), np.zeros(3))
